@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,5 +247,94 @@ func TestLUTCacheLRU(t *testing.T) {
 	}
 	if !contains(a) || !contains(c) {
 		t.Error("A and C must survive: A was refreshed by its hit, C is newest")
+	}
+}
+
+// sharedInputMatrix is a batch whose cells share inputs across both
+// systems, an N-way topology and every variant, with each input's cells
+// interleaved with other inputs' cells: variant outermost, then machine,
+// then kernel, then (seed, scale). Check is on, so the cells of a group also
+// share the prepared input's serial references.
+func sharedInputMatrix() []Spec {
+	machines := []Spec{
+		{System: Sys4B4L},
+		{System: Sys1B7L},
+		{Topology: []CoreClass{{Count: 1, Speed: 4, Power: 3}, {Count: 3, Speed: 2, Power: 1.8}, {Count: 4}}},
+	}
+	var specs []Spec
+	for _, v := range wsrt.Variants {
+		for _, m := range machines {
+			for _, kn := range []string{"cilksort", "bfs-nd", "rdups", "heat", "loop-guided"} {
+				for _, in := range []struct {
+					seed  uint64
+					scale float64
+				}{{7, 0.05}, {8, 0.05}, {7, 0.1}} {
+					s := m
+					s.Kernel, s.Variant, s.Seed, s.Scale, s.Check = kn, v, in.seed, in.scale, true
+					specs = append(specs, s)
+				}
+			}
+		}
+	}
+	return specs
+}
+
+// TestBatchSharedInputsMatchRun: a batch that prepares each input once
+// and runs it on every machine and variant that uses it is bit-identical,
+// whole Result for whole Result, to running each cell alone.
+func TestBatchSharedInputsMatchRun(t *testing.T) {
+	specs := sharedInputMatrix()
+	results, err := RunBatch(append([]Spec(nil), specs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatalf("cell %d: Run: %v", i, err)
+		}
+		if err := results[i].Verify(); err != nil {
+			t.Errorf("cell %d (%s/%s/%s seed %d scale %g): %v", i, spec.Kernel, spec.System, spec.Variant, spec.Seed, spec.Scale, err)
+		}
+		if !reflect.DeepEqual(results[i], want) {
+			t.Errorf("cell %d (%s/%s/%s seed %d scale %g): batch result differs from Run",
+				i, spec.Kernel, spec.System, spec.Variant, spec.Seed, spec.Scale)
+		}
+	}
+}
+
+// TestBatchConcurrentSharedInputs runs the shared-input batch from several
+// goroutines at once, as the jobs executor's workers do with gangs over
+// the same (kernel, seed). Each batch prepares its own inputs, so under the
+// race detector this proves no prepared input escapes the batch that made
+// it; every batch must still match the sequential one.
+func TestBatchConcurrentSharedInputs(t *testing.T) {
+	specs := sharedInputMatrix()
+	if testing.Short() {
+		specs = specs[:len(specs)/len(wsrt.Variants)]
+	}
+	want, err := RunBatch(append([]Spec(nil), specs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 3
+	got := make([][]Result, batches)
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for b := 0; b < batches; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			got[b], errs[b] = RunBatch(append([]Spec(nil), specs...))
+		}(b)
+	}
+	wg.Wait()
+	for b := 0; b < batches; b++ {
+		if errs[b] != nil {
+			t.Fatalf("batch %d: %v", b, errs[b])
+		}
+		if !reflect.DeepEqual(got[b], want) {
+			t.Errorf("batch %d differs from the sequential batch", b)
+		}
 	}
 }

@@ -376,8 +376,8 @@ func Run(spec Spec) (Result, error) {
 // cellEnv is the spec-invariant execution state one sweep cell needs: the
 // resolved kernel, core mix, power parameters, DVFS lookup table, a warm
 // simulation engine, and a reusable region tracker. RunCtx builds one per
-// call; the batch path builds one per partition and pins it across every
-// cell that shares the same partition signature.
+// call; the batch path builds one per partition, every partition sharing
+// the batch's single engine.
 type cellEnv struct {
 	k          *kernels.Kernel
 	nBig, nLit int
@@ -390,12 +390,12 @@ type cellEnv struct {
 	topo *topology
 }
 
-// newCellEnv resolves the environment for a validated spec: power params
-// from the kernel's Table III alpha/beta, the (cached) lookup table, a
-// warm engine from the retention cache, and a fresh tracker sized for the
-// core mix. An N-way topology that collapses onto the kernel's big.LITTLE
-// pair resolves to exactly the legacy environment.
-func newCellEnv(spec Spec) cellEnv {
+// newCellEnv resolves the environment for a validated spec on eng: power
+// params from the kernel's Table III alpha/beta, the (cached) lookup table,
+// and a fresh tracker sized for the core mix. An N-way topology that
+// collapses onto the kernel's big.LITTLE pair resolves to exactly the
+// legacy environment.
+func newCellEnv(spec Spec, eng *sim.Engine) cellEnv {
 	k := kernels.Get(spec.Kernel)
 	nBig, nLit := spec.counts()
 	if len(spec.Topology) > 0 {
@@ -409,7 +409,7 @@ func newCellEnv(spec Spec) cellEnv {
 			return cellEnv{
 				k: k, p: power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta),
 				lut:     cachedNWayLUT(t, spec.Variant.LUTMode()),
-				eng:     engines.get(),
+				eng:     eng,
 				tracker: stats.NewTracker(t.trackerClasses()),
 				topo:    &t,
 			}
@@ -424,7 +424,7 @@ func newCellEnv(spec Spec) cellEnv {
 	lut := cachedLUT(lutParams, nBig, nLit, spec.Variant.LUTMode())
 	return cellEnv{
 		k: k, nBig: nBig, nLit: nLit, p: p, lut: lut,
-		eng:     engines.get(),
+		eng:     eng,
 		tracker: stats.NewTracker(coreClasses(nBig, nLit)),
 	}
 }
@@ -440,21 +440,23 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	env := newCellEnv(spec)
-	res, reuse, err := runCell(ctx, spec, &env)
+	env := newCellEnv(spec, engines.get())
+	res, reuse, err := runCell(ctx, spec, &env, env.k.Prepare(spec.Seed, spec.Scale))
 	if reuse {
 		engines.put(env.eng)
 	}
 	return res, err
 }
 
-// runCell executes one simulation cell in env. The engine is Reset and the
-// tracker cleared on entry, so a pinned env runs every cell from an
-// identical initial state and batch results are bit-identical to serial
-// ones. reuse reports whether the engine is safe to return to the warm
-// cache: aborted runs leave a drained root-program goroutine that may
-// still briefly reference the engine, so they forfeit it.
-func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool, _ error) {
+// runCell executes one simulation cell in env over in, the kernel input
+// prepared for the spec's (seed, scale). The engine is Reset and the
+// tracker cleared on entry, and the workload is a fresh instance of in, so
+// a pinned env and a shared input run every cell from an identical initial
+// state and batch results are bit-identical to serial ones. reuse reports
+// whether the engine is safe to return to the warm cache: aborted runs
+// leave a drained root-program goroutine that may still briefly reference
+// the engine, so they forfeit it.
+func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ Result, reuse bool, _ error) {
 	eng, k, p := env.eng, env.k, env.p
 	eng.Reset()
 	env.tracker.Reset()
@@ -540,7 +542,7 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv) (_ Result, reuse bool
 		// the region tracker's back (its clock follows ExecTime).
 		inj.SetAlive(rt.Running)
 	}
-	w := k.New(spec.Seed, spec.Scale)
+	w := in.Instance()
 	rep, err := executeChecked(rt, w.Run, spec)
 	if err != nil {
 		return Result{}, false, err

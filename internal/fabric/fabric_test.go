@@ -544,3 +544,61 @@ func TestFabricSingleflight(t *testing.T) {
 		t.Fatalf("one spec executed %d shards", m.ShardsCompleted)
 	}
 }
+
+// TestWorkerForgetsReportedShards: a worker's executor must not keep the
+// job records of shards it has reported — no client can address their IDs,
+// so a long-running worker would otherwise grow without bound. The shard's
+// job is visible while it runs and unknown once its result is reported.
+func TestWorkerForgetsReportedShards(t *testing.T) {
+	coord, addr := startCoord(t, fabric.CoordConfig{
+		HedgeDelay:       -1,
+		HeartbeatTimeout: 10 * time.Second,
+	})
+	gate := make(chan struct{})
+	ex := jobs.NewExecutor(jobs.Config{Workers: 1, Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+		<-gate
+		return stubResult(spec), nil
+	}})
+	t.Cleanup(ex.Close)
+	w, err := fabric.NewWorker(fabric.WorkerConfig{Name: "w", CoordAddr: addr, Executor: ex, HeartbeatEvery: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	go w.Run(ctx)
+	<-w.Ready()
+
+	spec := fabricSpec(3)
+	task, err := coord.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fresh executor's first job is the shard: hash prefix, sequence 1.
+	id := specHash(t, spec)[:12] + "-1"
+	for {
+		if snap, err := ex.Get(id); err == nil && snap.State == jobs.StateRunning {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("shard job %s never ran on the worker", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if snap, err := coord.Wait(ctx, task.ID); err != nil || snap.State != jobs.StateDone {
+		t.Fatalf("task: %v %v", snap.State, err)
+	}
+	// The result frame is written before the job is forgotten, so the
+	// coordinator can see the result a moment before the worker forgets.
+	for {
+		_, err := ex.Get(id)
+		if errors.Is(err, jobs.ErrUnknownJob) {
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("reported shard job %s still known to the worker: %v", id, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -271,7 +271,9 @@ func (w *Worker) executeBatch(ctx context.Context, fc *frameConn, frames []Frame
 }
 
 // report waits for one shard's job and streams the result (or a typed
-// failure) back, stamped with the session's epoch.
+// failure) back, stamped with the session's epoch. No client can address
+// the job's ID, so once the result frame is written the executor forgets
+// the job rather than keep its outcome bytes for the life of the process.
 func (w *Worker) report(ctx context.Context, fc *frameConn, f Frame, job *jobs.Job, epoch uint64) {
 	result := Frame{Kind: KindResult, Worker: w.cfg.Name, Epoch: epoch, Shard: f.Shard}
 	snap, err := w.cfg.Executor.Wait(ctx, job.ID)
@@ -298,4 +300,5 @@ func (w *Worker) report(ctx context.Context, fc *frameConn, f Frame, job *jobs.J
 		}
 	}
 	_ = fc.write(result)
+	_ = w.cfg.Executor.Forget(job.ID)
 }

@@ -64,26 +64,36 @@ var trigramNext = map[byte][]byte{
 
 // TrigramWords returns n words drawn from the bigram model with geometric
 // lengths (PBBS trigramSeq_<n>). Duplicates are frequent by construction.
+// The words are substrings of one backing string, so the whole sequence
+// costs a handful of allocations rather than one per word.
 func TrigramWords(seed uint64, n int) []string {
 	rng := sim.NewRand(seed)
-	out := make([]string, n)
-	var buf [16]byte
-	for i := range out {
+	ends := make([]int32, n)
+	// Words average about 4.2 bytes (3 plus a capped geometric tail).
+	buf := make([]byte, 0, 5*n)
+	for i := range ends {
 		ln := 3
 		for ln < 10 && rng.Float64() < 0.55 {
 			ln++
 		}
 		c := trigramFirst[rng.Intn(len(trigramFirst))]
-		buf[0] = c
+		buf = append(buf, c)
 		for j := 1; j < ln; j++ {
 			next, ok := trigramNext[c]
 			if !ok {
 				next = trigramFirst
 			}
 			c = next[rng.Intn(len(next))]
-			buf[j] = c
+			buf = append(buf, c)
 		}
-		out[i] = string(buf[:ln])
+		ends[i] = int32(len(buf))
+	}
+	all := string(buf)
+	out := make([]string, n)
+	start := int32(0)
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
 	}
 	return out
 }
@@ -141,9 +151,14 @@ func (g *Graph) NumEdges() int { return len(g.Edges) }
 // degree ~2*degree where each vertex's neighbors are biased to nearby
 // vertex ids (PBBS randLocalGraph_J_<degree>_<n>). Locality produces the
 // frontier growth patterns BFS and MIS depend on.
+//
+// The CSR is built in two passes over the generated edge endpoints: count
+// degrees, then fill each vertex's slots in generation order — the order
+// per-vertex appends would give — without a slice per vertex.
 func RandLocalGraph(seed uint64, degree, n int) *Graph {
 	rng := sim.NewRand(seed)
-	adj := make([][]int32, n)
+	// far[i*degree+d] is the far endpoint of vertex i's d-th generated edge.
+	far := make([]int32, n*degree)
 	logN := math.Log(float64(n))
 	for i := 0; i < n; i++ {
 		for d := 0; d < degree; d++ {
@@ -161,19 +176,27 @@ func RandLocalGraph(seed uint64, degree, n int) *Graph {
 			if j == i {
 				j = (i + 1) % n
 			}
-			adj[i] = append(adj[i], int32(j))
-			adj[j] = append(adj[j], int32(i))
+			far[i*degree+d] = int32(j)
 		}
 	}
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
-	total := 0
-	for i, a := range adj {
-		total += len(a)
-		g.Offsets[i+1] = int32(total)
+	g := &Graph{N: n, Offsets: make([]int32, n+1), Edges: make([]int32, 2*len(far))}
+	// Count degrees into Offsets[v+1], prefix-sum, then fill through a
+	// cursor per vertex.
+	for e, j := range far {
+		g.Offsets[e/degree+1]++
+		g.Offsets[j+1]++
 	}
-	g.Edges = make([]int32, 0, total)
-	for _, a := range adj {
-		g.Edges = append(g.Edges, a...)
+	for v := 0; v < n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	next := make([]int32, n)
+	copy(next, g.Offsets[:n])
+	for e, j := range far {
+		i := int32(e / degree)
+		g.Edges[next[i]] = j
+		next[i]++
+		g.Edges[next[j]] = i
+		next[j]++
 	}
 	return g
 }

@@ -1,6 +1,8 @@
 package input
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -154,5 +156,48 @@ func TestTrigramStringAlpha(t *testing.T) {
 		if c < 'a' || c > 'z' {
 			t.Fatalf("non-letter byte %q at %d", c, i)
 		}
+	}
+}
+
+// TestGeneratorGolden pins RandLocalGraph and TrigramWords to hashes of
+// the output of their original builders (a slice per vertex, a string per
+// word). The allocation-lean builders must keep the RNG call order and the
+// per-vertex edge order, which every committed fingerprint depends on.
+func TestGeneratorGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed         uint64
+		n            int
+		graph, words uint64
+	}{
+		{1, 500, 0xb1c77dcb95f46a03, 0x2b17afcde1ea01e9},
+		{42, 500, 0x0d6082c3ed881d57, 0x9a3e214712b60985},
+		{42, 20000, 0x04d138e9b0109017, 0x1f359ded62c915f1},
+		{139, 25000, 0x1e88836f6361ece5, 0x66d89b8684a5be51},
+	} {
+		g := RandLocalGraph(c.seed, 5, c.n)
+		h := fnv.New64a()
+		fmt.Fprint(h, g.N, g.Offsets, g.Edges)
+		if got := h.Sum64(); got != c.graph {
+			t.Errorf("RandLocalGraph(%d, 5, %d) hash %x, want %x", c.seed, c.n, got, c.graph)
+		}
+		h = fnv.New64a()
+		for _, w := range TrigramWords(c.seed, c.n) {
+			fmt.Fprintf(h, "%q,", w)
+		}
+		if got := h.Sum64(); got != c.words {
+			t.Errorf("TrigramWords(%d, %d) hash %x, want %x", c.seed, c.n, got, c.words)
+		}
+	}
+}
+
+// TestGeneratorAllocs bounds the allocations of the two generators that
+// dominated input preparation: both build flat buffers, not an object per
+// vertex or word.
+func TestGeneratorAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(2, func() { RandLocalGraph(42, 5, 20000) }); a >= 10 {
+		t.Errorf("RandLocalGraph: %.0f allocations, want < 10", a)
+	}
+	if a := testing.AllocsPerRun(2, func() { TrigramWords(42, 100000) }); a >= 10 {
+		t.Errorf("TrigramWords: %.0f allocations, want < 10", a)
 	}
 }

@@ -36,11 +36,20 @@ func CanonicalJSON(v any) ([]byte, error) {
 	if err := dec.Decode(&tree); err != nil {
 		return nil, err
 	}
+	// The executor and the caches keep the returned bytes for as long as
+	// the outcome lives, backing array included, so size the buffer for
+	// the encoding up front (it rarely differs much from raw) and drop any
+	// large slack a longer encoding left behind.
 	var buf bytes.Buffer
+	buf.Grow(len(raw))
 	if err := writeCanonical(&buf, tree); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	out := buf.Bytes()
+	if cap(out)-len(out) > len(out)/8 {
+		out = bytes.Clone(out)
+	}
+	return out, nil
 }
 
 // writeCanonical emits one decoded JSON value in canonical form.

@@ -3,6 +3,7 @@ package jobs_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"aaws/internal/core"
@@ -131,5 +132,42 @@ func TestResultHashStableAcrossRuns(t *testing.T) {
 	}
 	if !bytes.Equal(first, again) {
 		t.Fatal("Outcome round trip is not bit-identical")
+	}
+}
+
+// TestCanonicalJSONRightSized: the executor and the caches keep canonical
+// bytes together with their backing array, so the encoding must not carry a
+// grown buffer's slack — whether it comes out longer than encoding/json's
+// (float exponents gain a digit) or shorter (no HTML escapes).
+func TestCanonicalJSONRightSized(t *testing.T) {
+	spec := jobs.Normalize(core.Spec{Kernel: "qsort-2", Variant: wsrt.BasePSM, Scale: 0.1})
+	res, err := core.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := jobs.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longer := make([]float64, 500)
+	for i := range longer {
+		longer[i] = 1.5e-7
+	}
+	for name, v := range map[string]any{
+		"outcome": jobs.NewOutcome(hash, res),
+		"longer":  longer,
+		"shorter": strings.Repeat("<&>", 500),
+	} {
+		b, err := jobs.CanonicalJSON(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(b) > len(b)+len(b)/8 {
+			t.Errorf("%s: %d bytes in a %d-byte array", name, len(b), cap(b))
+		}
+	}
+	b, err := jobs.CanonicalJSON(longer[:2])
+	if err != nil || string(b) != "[1.5e-07,1.5e-07]" {
+		t.Errorf("CanonicalJSON(%v) = %s, %v", longer[:2], b, err)
 	}
 }

@@ -31,8 +31,12 @@ var ErrDraining = errors.New("jobs: executor is draining; not accepting jobs")
 // submission's per-priority share of it) is at capacity.
 var ErrQueueFull = errors.New("jobs: queue full")
 
-// ErrUnknownJob is returned for job IDs the executor has never seen.
+// ErrUnknownJob is returned for job IDs the executor has never seen or has
+// forgotten.
 var ErrUnknownJob = errors.New("jobs: unknown job")
+
+// ErrJobActive is returned by Forget for a job that is not yet terminal.
+var ErrJobActive = errors.New("jobs: job is still queued or running")
 
 // Config parameterizes an Executor.
 type Config struct {
@@ -689,6 +693,25 @@ func (ex *Executor) Cancel(id string) (State, error) {
 		}
 	}
 	return job.state, nil
+}
+
+// Forget drops a terminal job's record; its ID then answers ErrUnknownJob.
+// The executor otherwise keeps every job it ever ran, so a caller that
+// consumes outcomes itself and never hands the ID to a client (a fabric
+// worker reporting shards over the wire) forgets each job once it is done
+// with it. The result cache is unaffected.
+func (ex *Executor) Forget(id string) error {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	job, ok := ex.jobs[id]
+	if !ok {
+		return ErrUnknownJob
+	}
+	if !job.state.Terminal() {
+		return ErrJobActive
+	}
+	delete(ex.jobs, id)
+	return nil
 }
 
 // Wait blocks until the job is terminal or ctx expires, then returns its

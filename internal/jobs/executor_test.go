@@ -492,3 +492,34 @@ func TestBatchRunnerOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestForget: Forget drops terminal jobs only, and a forgotten ID answers
+// ErrUnknownJob.
+func TestForget(t *testing.T) {
+	gate := make(chan struct{})
+	ex := jobs.NewExecutor(jobs.Config{Workers: 1, Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+		<-gate
+		return core.Result{Spec: spec}, nil
+	}})
+	defer ex.Close()
+	job, err := ex.Submit(core.Spec{Kernel: "cilksort", Variant: wsrt.BasePSM, Scale: 0.05}, jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Forget(job.ID); !errors.Is(err, jobs.ErrJobActive) {
+		t.Fatalf("Forget of an unfinished job = %v, want jobs.ErrJobActive", err)
+	}
+	close(gate)
+	if _, err := ex.Wait(context.Background(), job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Forget(job.ID); err != nil {
+		t.Fatalf("Forget of a done job: %v", err)
+	}
+	if _, err := ex.Get(job.ID); !errors.Is(err, jobs.ErrUnknownJob) {
+		t.Errorf("Get after Forget = %v, want jobs.ErrUnknownJob", err)
+	}
+	if err := ex.Forget(job.ID); !errors.Is(err, jobs.ErrUnknownJob) {
+		t.Errorf("second Forget = %v, want jobs.ErrUnknownJob", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"aaws/internal/input"
 	"aaws/internal/wsrt"
@@ -11,10 +12,15 @@ import (
 
 // ---- hull: quickhull on Kuzmin-distributed points (PBBS) ----
 
-type hull struct {
+// hullInput is the prepared point set and its reference hull.
+type hullInput struct {
 	pts  []input.Point2
-	hull []int32       // produced hull vertex indices
-	want lazy[[]int32] // reference hull (sorted indices)
+	want func() []int32
+}
+
+type hull struct {
+	*hullInput
+	hull []int32 // produced hull vertex indices
 	leaf int
 }
 
@@ -55,11 +61,12 @@ func serialHull(pts []input.Point2) []int32 {
 	return h[:len(h)-1]
 }
 
-func newHull(seed uint64, scale float64) Workload {
-	n := scaled(30000, scale)
-	pts := input.Kuzmin2D(seed, n)
-	return &hull{pts: pts, want: deferred(func() []int32 { return serialHull(pts) }), leaf: 512}
+func prepareHull(seed uint64, scale float64) Input {
+	pts := input.Kuzmin2D(seed, scaled(30000, scale))
+	return &hullInput{pts: pts, want: sync.OnceValue(func() []int32 { return serialHull(pts) })}
 }
+
+func (in *hullInput) Instance() Workload { return &hull{hullInput: in, leaf: 512} }
 
 func (k *hull) Run(r *wsrt.Run) {
 	pts := k.pts
@@ -235,7 +242,7 @@ func (k *hull) quickhullSerial(c *wsrt.Ctx, cand []int32, a, b int32, out *[]int
 
 func (k *hull) Check() error {
 	got := append([]int32(nil), k.hull...)
-	want := append([]int32(nil), k.want.get()...)
+	want := append([]int32(nil), k.want()...)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(got) != len(want) {
@@ -257,11 +264,17 @@ type qtNode struct {
 	kids         *[4]*qtNode
 }
 
+// knnInput is the prepared point set and its brute-force reference
+// neighbors.
+type knnInput struct {
+	pts  []input.Point2
+	want func() []int32
+}
+
 type knn struct {
-	pts   []input.Point2
+	*knnInput
 	root  *qtNode
 	nn    []int32
-	want  lazy[[]int32]
 	grain int
 }
 
@@ -339,11 +352,10 @@ func (t *qtNode) nearest(pts []input.Point2, i int32, best int32, bestD float64,
 	return best, bestD
 }
 
-func newKNN(seed uint64, scale float64) Workload {
-	n := scaled(4000, scale)
-	pts := input.Cube2D(seed, n)
+func prepareKNN(seed uint64, scale float64) Input {
+	pts := input.Cube2D(seed, scaled(4000, scale))
 	// Brute-force reference.
-	want := deferred(func() []int32 {
+	want := sync.OnceValue(func() []int32 {
 		out := make([]int32, len(pts))
 		for i := range pts {
 			best, bd := int32(-1), math.Inf(1)
@@ -360,8 +372,10 @@ func newKNN(seed uint64, scale float64) Workload {
 		}
 		return out
 	})
-	return &knn{pts: pts, want: want, grain: 32}
+	return &knnInput{pts: pts, want: want}
 }
+
+func (in *knnInput) Instance() Workload { return &knn{knnInput: in, grain: 32} }
 
 func (k *knn) Run(r *wsrt.Run) {
 	n := len(k.pts)
@@ -434,6 +448,7 @@ func (k *knn) Run(r *wsrt.Run) {
 
 func (k *knn) Check() error {
 	// Equal distance ties may resolve differently; compare distances.
+	want := k.want()
 	for i := range k.nn {
 		if k.nn[i] < 0 {
 			return fmt.Errorf("knn: point %d has no neighbor", i)
@@ -442,7 +457,7 @@ func (k *knn) Check() error {
 			dx, dy := k.pts[a].X-k.pts[b].X, k.pts[a].Y-k.pts[b].Y
 			return dx*dx + dy*dy
 		}
-		if got, want := d(int32(i), k.nn[i]), d(int32(i), k.want.get()[i]); got > want*(1+1e-12) {
+		if got, want := d(int32(i), k.nn[i]), d(int32(i), want[i]); got > want*(1+1e-12) {
 			return fmt.Errorf("knn: point %d: got distance %g, want %g", i, got, want)
 		}
 	}
@@ -451,15 +466,20 @@ func (k *knn) Check() error {
 
 // ---- nbody: direct-sum force computation on 3D bodies (PBBS CK stand-in) ----
 
+// nbodyInput is the prepared bodies and the reference forces.
+type nbodyInput struct {
+	pts  []input.Point3
+	mass []float64
+	want func() [][3]float64
+}
+
 type nbody struct {
-	pts   []input.Point3
-	mass  []float64
+	*nbodyInput
 	force [][3]float64
-	want  lazy[[][3]float64]
 	grain int
 }
 
-func newNbody(seed uint64, scale float64) Workload {
+func prepareNbody(seed uint64, scale float64) Input {
 	n := scaled(550, scale)
 	pts := input.Cube3D(seed, n)
 	mass := make([]float64, n)
@@ -468,12 +488,14 @@ func newNbody(seed uint64, scale float64) Workload {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		mass[i] = 0.5 + float64(rng>>40)/float64(1<<24)
 	}
-	k := &nbody{pts: pts, mass: mass, grain: 8}
-	k.want = deferred(k.computeSerial)
-	return k
+	in := &nbodyInput{pts: pts, mass: mass}
+	in.want = sync.OnceValue(in.computeSerial)
+	return in
 }
 
-func (k *nbody) forceOn(i int) [3]float64 {
+func (in *nbodyInput) Instance() Workload { return &nbody{nbodyInput: in, grain: 8} }
+
+func (k *nbodyInput) forceOn(i int) [3]float64 {
 	var f [3]float64
 	const eps = 1e-6
 	for j := range k.pts {
@@ -492,7 +514,7 @@ func (k *nbody) forceOn(i int) [3]float64 {
 	return f
 }
 
-func (k *nbody) computeSerial() [][3]float64 {
+func (k *nbodyInput) computeSerial() [][3]float64 {
 	out := make([][3]float64, len(k.pts))
 	for i := range out {
 		out[i] = k.forceOn(i)
@@ -517,7 +539,7 @@ func (k *nbody) Run(r *wsrt.Run) {
 }
 
 func (k *nbody) Check() error {
-	want := k.want.get()
+	want := k.want()
 	for i := range k.force {
 		for d := 0; d < 3; d++ {
 			if k.force[i][d] != want[i][d] {
@@ -531,14 +553,14 @@ func (k *nbody) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "hull", Suite: "pbbs", Input: "2Dkuzmin_30K", PM: "rss",
-		Alpha: 2.1, Beta: 2.2, MPKI: 6.0, New: newHull,
+		Alpha: 2.1, Beta: 2.2, MPKI: 6.0, Prepare: prepareHull,
 	})
 	register(&Kernel{
 		Name: "knn", Suite: "pbbs", Input: "2DinCube_4K", PM: "p,rss",
-		Alpha: 2.8, Beta: 1.7, MPKI: 0.02, New: newKNN,
+		Alpha: 2.8, Beta: 1.7, MPKI: 0.02, Prepare: prepareKNN,
 	})
 	register(&Kernel{
 		Name: "nbody", Suite: "pbbs", Input: "3DinCube_550", PM: "p,rss",
-		Alpha: 2.9, Beta: 1.6, MPKI: 0.01, New: newNbody,
+		Alpha: 2.9, Beta: 1.6, MPKI: 0.01, Prepare: prepareNbody,
 	})
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"aaws/internal/input"
 	"aaws/internal/wsrt"
@@ -30,6 +31,21 @@ func serialBFSLevels(g *input.Graph, src int32) []int32 {
 	return levels
 }
 
+// bfsInput is the prepared input of both BFS kernels: the graph and its
+// reference levels from vertex 0. Run only reads the graph.
+type bfsInput struct {
+	g        *input.Graph
+	want     func() []int32
+	instance func(in *bfsInput) Workload
+}
+
+func prepareBFS(seed uint64, scale float64, instance func(in *bfsInput) Workload) Input {
+	g := input.RandLocalGraph(seed, 5, scaled(20000, scale))
+	return &bfsInput{g: g, want: sync.OnceValue(func() []int32 { return serialBFSLevels(g, 0) }), instance: instance}
+}
+
+func (in *bfsInput) Instance() Workload { return in.instance(in) }
+
 // ---- bfs-nd: level-synchronous BFS with atomic parent claims (PBBS) ----
 //
 // The claim "CAS" resolves in task-body execution order, which varies with
@@ -37,16 +53,13 @@ func serialBFSLevels(g *input.Graph, src int32) []int32 {
 // invariant because claims only happen in the level a vertex is first
 // reachable.
 type bfsND struct {
-	g      *input.Graph
+	*bfsInput
 	levels []int32
-	want   lazy[[]int32]
 	grain  int
 }
 
-func newBFSND(seed uint64, scale float64) Workload {
-	n := scaled(20000, scale)
-	g := input.RandLocalGraph(seed, 5, n)
-	return &bfsND{g: g, want: deferred(func() []int32 { return serialBFSLevels(g, 0) }), grain: 64}
+func prepareBFSND(seed uint64, scale float64) Input {
+	return prepareBFS(seed, scale, func(in *bfsInput) Workload { return &bfsND{bfsInput: in, grain: 64} })
 }
 
 func (k *bfsND) Run(r *wsrt.Run) {
@@ -91,7 +104,7 @@ func (k *bfsND) Run(r *wsrt.Run) {
 }
 
 func (k *bfsND) Check() error {
-	return checkEqualInt32("bfs-nd levels", k.levels, k.want.get())
+	return checkEqualInt32("bfs-nd levels", k.levels, k.want())
 }
 
 // ---- bfs-d: deterministic BFS with reserve-and-commit phases (PBBS) ----
@@ -100,17 +113,14 @@ func (k *bfsND) Check() error {
 // into each newly reachable vertex) and commit (the winning parent adds the
 // vertex to the next frontier). The result is schedule-independent.
 type bfsD struct {
-	g      *input.Graph
+	*bfsInput
 	levels []int32
 	parent []int32
-	want   lazy[[]int32]
 	grain  int
 }
 
-func newBFSD(seed uint64, scale float64) Workload {
-	n := scaled(20000, scale)
-	g := input.RandLocalGraph(seed, 5, n)
-	return &bfsD{g: g, want: deferred(func() []int32 { return serialBFSLevels(g, 0) }), grain: 64}
+func prepareBFSD(seed uint64, scale float64) Input {
+	return prepareBFS(seed, scale, func(in *bfsInput) Workload { return &bfsD{bfsInput: in, grain: 64} })
 }
 
 func (k *bfsD) Run(r *wsrt.Run) {
@@ -172,7 +182,7 @@ func (k *bfsD) Run(r *wsrt.Run) {
 }
 
 func (k *bfsD) Check() error {
-	if err := checkEqualInt32("bfs-d levels", k.levels, k.want.get()); err != nil {
+	if err := checkEqualInt32("bfs-d levels", k.levels, k.want()); err != nil {
 		return err
 	}
 	// Deterministic parents: each parent must be the min-id neighbor in
@@ -196,17 +206,21 @@ func (k *bfsD) Check() error {
 
 // ---- mis: maximal independent set with atomic claims (PBBS, ND) ----
 
+// misInput is the prepared graph. Check validates the set structurally,
+// so there is no reference.
+type misInput struct{ g *input.Graph }
+
 type mis struct {
-	g      *input.Graph
+	*misInput
 	status []int8 // 0 undecided, 1 in MIS, 2 excluded
 	grain  int
 }
 
-func newMIS(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	g := input.RandLocalGraph(seed^0xa1, 5, n)
-	return &mis{g: g, grain: 64}
+func prepareMIS(seed uint64, scale float64) Input {
+	return &misInput{g: input.RandLocalGraph(seed^0xa1, 5, scaled(25000, scale))}
 }
+
+func (in *misInput) Instance() Workload { return &mis{misInput: in, grain: 64} }
 
 func (k *mis) Run(r *wsrt.Run) {
 	g := k.g
@@ -269,20 +283,26 @@ func (k *mis) Check() error {
 
 // ---- sptree: spanning forest via concurrent union-find (PBBS, ND) ----
 
-type sptree struct {
+// sptreeInput is the prepared edge list and its reference component
+// count.
+type sptreeInput struct {
 	n         int
 	edges     []input.Edge
+	wantComps func() int
+}
+
+type sptree struct {
+	*sptreeInput
 	parentUF  []int32
 	treeEdges int
-	wantComps lazy[int]
 	grain     int
 }
 
-func newSptree(seed uint64, scale float64) Workload {
+func prepareSptree(seed uint64, scale float64) Input {
 	n := scaled(20000, scale)
 	edges := input.RandLocalEdges(seed^0x77, 5, n)
 	// Reference component count via serial union-find.
-	wantComps := deferred(func() int {
+	wantComps := sync.OnceValue(func() int {
 		parent := make([]int32, n)
 		for i := range parent {
 			parent[i] = int32(i)
@@ -305,8 +325,10 @@ func newSptree(seed uint64, scale float64) Workload {
 		}
 		return comps
 	})
-	return &sptree{n: n, edges: edges, wantComps: wantComps, grain: 128}
+	return &sptreeInput{n: n, edges: edges, wantComps: wantComps}
 }
+
+func (in *sptreeInput) Instance() Workload { return &sptree{sptreeInput: in, grain: 128} }
 
 func (k *sptree) find(x int32, hops *int) int32 {
 	for k.parentUF[x] != x {
@@ -354,7 +376,7 @@ func (k *sptree) Run(r *wsrt.Run) {
 func (k *sptree) Check() error {
 	// A spanning forest has n - components tree edges, regardless of which
 	// edges were selected.
-	want := k.n - k.wantComps.get()
+	want := k.n - k.wantComps()
 	if k.treeEdges != want {
 		return fmt.Errorf("sptree: %d tree edges, want %d", k.treeEdges, want)
 	}
@@ -367,8 +389,8 @@ func (k *sptree) Check() error {
 			comps++
 		}
 	}
-	if comps != k.wantComps.get() {
-		return fmt.Errorf("sptree: %d components, want %d", comps, k.wantComps.get())
+	if comps != k.wantComps() {
+		return fmt.Errorf("sptree: %d components, want %d", comps, k.wantComps())
 	}
 	return nil
 }
@@ -376,18 +398,18 @@ func (k *sptree) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "bfs-d", Suite: "pbbs", Input: "randLocalGraph_J_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.2, MPKI: 14.8, New: newBFSD,
+		Alpha: 2.8, Beta: 2.2, MPKI: 14.8, Prepare: prepareBFSD,
 	})
 	register(&Kernel{
 		Name: "bfs-nd", Suite: "pbbs", Input: "randLocalGraph_J_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.2, MPKI: 12.3, New: newBFSND,
+		Alpha: 2.8, Beta: 2.2, MPKI: 12.3, Prepare: prepareBFSND,
 	})
 	register(&Kernel{
 		Name: "mis", Suite: "pbbs", Input: "randLocalGraph_J_5_25K", PM: "p",
-		Alpha: 3.6, Beta: 2.3, MPKI: 3.5, New: newMIS,
+		Alpha: 3.6, Beta: 2.3, MPKI: 3.5, Prepare: prepareMIS,
 	})
 	register(&Kernel{
 		Name: "sptree", Suite: "pbbs", Input: "randLocalGraph_E_5_20K", PM: "p",
-		Alpha: 2.8, Beta: 2.1, MPKI: 4.9, New: newSptree,
+		Alpha: 2.8, Beta: 2.1, MPKI: 4.9, Prepare: prepareSptree,
 	})
 }

@@ -14,8 +14,9 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"aaws/internal/wsrt"
 )
@@ -37,39 +38,33 @@ const (
 	costNode    = 30 // allocate/init a small record
 )
 
-// Workload is one prepared kernel instance: inputs generated, serial
-// reference available. Run executes the parallel version on the simulated
-// runtime; Check validates the parallel result. A Workload is single-use —
-// prepare a fresh one per run.
+// Input is a prepared kernel input: the generated dataset and the
+// parameters derived from (seed, scale). It is immutable once Prepare
+// returns, so one Input serves any number of runs — the batch path
+// prepares it once per (kernel, seed, scale) group and shares it across
+// every variant and system cell of the group.
+//
+// Serial references live on the Input too, each as a sync.OnceValue over
+// the prepared data: sweeps run with Check=false and never pay for a
+// reference (several — matmul's serial product, nbody's direct sums,
+// suffix arrays — cost as much as the workload itself), while checked runs
+// compute it at most once per Input. A reference reads only the Input, so
+// it needs no snapshot of the data Run mutates, and it never touches the
+// simulated schedule: references are host-side bookkeeping, and the
+// instruction costs charged during Run are computed by Run itself.
+type Input interface {
+	// Instance returns a fresh Workload over the input. It copies only the
+	// state its Run mutates; everything else is read from the Input.
+	Instance() Workload
+}
+
+// Workload is one runnable kernel instance. Run executes the parallel
+// version on the simulated runtime; Check validates the parallel result
+// against the Input's serial reference. A Workload is single-use — take a
+// fresh Instance per run.
 type Workload interface {
 	Run(r *wsrt.Run)
 	Check() error
-}
-
-// lazy defers a Check-only serial reference. Sweeps run with Check=false
-// and must not pay for references they never read — several references
-// (matmul's serial product, nbody's direct sums, suffix arrays) cost as
-// much as the workload itself. The closure runs at most once, on first
-// get; anything it captures must be unaffected by Run, so constructors
-// snapshot inputs that Run mutates (a copy is far cheaper than the
-// reference computation it defers). Laziness never touches the simulated
-// schedule: references are host-side bookkeeping, and the instruction
-// costs charged during Run are computed by Run itself.
-type lazy[T any] struct {
-	f func() T
-	v T
-}
-
-// deferred wraps f as a lazily-computed value.
-func deferred[T any](f func() T) lazy[T] { return lazy[T]{f: f} }
-
-// get computes the value on first use and caches it.
-func (l *lazy[T]) get() T {
-	if l.f != nil {
-		l.v = l.f()
-		l.f = nil
-	}
-	return l.v
 }
 
 // Kernel is a registry entry with the paper's Table III metadata.
@@ -86,10 +81,15 @@ type Kernel struct {
 	// are excluded from All/Names so the default sweep matrix — and every
 	// fingerprint pinned over it — keeps its original 22 rows.
 	Extension bool
-	// New prepares a fresh workload. scale multiplies the default input
-	// size (1.0 = this repo's default, ~10x smaller than the paper).
-	New func(seed uint64, scale float64) Workload
+	// Prepare generates the input for (seed, scale). scale multiplies the
+	// default input size (1.0 = this repo's default, ~10x smaller than the
+	// paper).
+	Prepare func(seed uint64, scale float64) Input
 }
+
+// New prepares an input and returns a single instance of it, for callers
+// that run each input once.
+func (k *Kernel) New(seed uint64, scale float64) Workload { return k.Prepare(seed, scale).Instance() }
 
 var registry []*Kernel
 var byName = map[string]*Kernel{}
@@ -178,24 +178,10 @@ func checkEqualF64(name string, got, want []float64) error {
 	return nil
 }
 
-// sortedCopyF64 returns a sorted copy (serial reference for sorts).
-func sortedCopyF64(in []float64) []float64 {
-	out := append([]float64(nil), in...)
-	sort.Float64s(out)
-	return out
-}
-
-// sortedCopyInt32 returns a sorted copy.
-func sortedCopyInt32(in []int32) []int32 {
-	out := append([]int32(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedCopyStr returns a sorted copy.
-func sortedCopyStr(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
+// sortedCopy returns a sorted copy (serial reference for sorts).
+func sortedCopy[T cmp.Ordered](in []T) []T {
+	out := slices.Clone(in)
+	slices.Sort(out)
 	return out
 }
 

@@ -13,6 +13,14 @@ import (
 // runKernel executes one workload on a fresh simulated system.
 func runKernel(t testing.TB, k *Kernel, v wsrt.Variant, nBig, nLit int, scale float64) (Workload, wsrt.Report) {
 	t.Helper()
+	w := k.New(42, scale)
+	return w, runWorkload(t, k, w, v, nBig, nLit)
+}
+
+// runWorkload executes w, a workload of kernel k, on a fresh simulated
+// system.
+func runWorkload(t testing.TB, k *Kernel, w Workload, v wsrt.Variant, nBig, nLit int) wsrt.Report {
+	t.Helper()
 	p := power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta)
 	lut := model.GenerateLUT(model.Config{Params: p, NBig: nBig, NLit: nLit}, v.LUTMode())
 	eng := sim.NewEngine()
@@ -23,9 +31,7 @@ func runKernel(t testing.TB, k *Kernel, v wsrt.Variant, nBig, nLit int, scale fl
 		t.Fatal(err)
 	}
 	rt := wsrt.New(m, wsrt.DefaultConfig(v))
-	w := k.New(42, scale)
-	rep := rt.Execute(w.Run)
-	return w, rep
+	return rt.Execute(w.Run)
 }
 
 // TestAllKernelsCorrectUnderAllVariants validates every kernel's parallel

@@ -55,32 +55,38 @@ func lockMix(x uint64) uint64 {
 	return x
 }
 
-// lockKernel is one member of the family; acquireCost maps (draw, rank) to
-// the modelled acquisition cost in simulated instructions.
-type lockKernel struct {
+// lockInput is one member of the family, prepared: acquireCost maps
+// (draw, rank) to the modelled acquisition cost in simulated instructions,
+// and want is the reference checksum.
+type lockInput struct {
 	seed        uint64
 	nTasks      int
 	acquireCost func(draw uint64, rank int) float64
-
-	sum  int64 // shared accumulator (host-side; increments commute)
-	want int64
+	want        int64
 }
 
-// newLockKernel prepares a workload with the given protocol cost model.
-func newLockKernel(seed uint64, scale float64, cost func(draw uint64, rank int) float64) Workload {
-	k := &lockKernel{seed: seed, nTasks: scaled(lockTasks, scale), acquireCost: cost}
-	for t := 0; t < k.nTasks; t++ {
+type lockKernel struct {
+	*lockInput
+	sum int64 // shared accumulator (host-side; increments commute)
+}
+
+// prepareLock prepares an input with the given protocol cost model.
+func prepareLock(seed uint64, scale float64, cost func(draw uint64, rank int) float64) Input {
+	in := &lockInput{seed: seed, nTasks: scaled(lockTasks, scale), acquireCost: cost}
+	for t := 0; t < in.nTasks; t++ {
 		for a := 0; a < lockAcquires; a++ {
-			k.want += k.increment(t, a)
+			in.want += in.increment(t, a)
 		}
 	}
-	return k
+	return in
 }
+
+func (in *lockInput) Instance() Workload { return &lockKernel{lockInput: in} }
 
 // increment is the critical-section payload for one acquisition: a
 // deterministic function of (task, acquire) alone, so the committed sum is
 // independent of execution order.
-func (k *lockKernel) increment(task, acq int) int64 {
+func (k *lockInput) increment(task, acq int) int64 {
 	return int64(lockMix(k.seed^uint64(task)<<20^uint64(acq)) % 1024)
 }
 
@@ -114,8 +120,8 @@ func init() {
 	register(&Kernel{
 		Name: "lock-tas", Suite: "ext", Input: "384 tasks x 6 acquires", PM: "p",
 		Alpha: 2.5, Beta: 2.0, MPKI: 0.05, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLockKernel(seed, scale, func(draw uint64, rank int) float64 {
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLock(seed, scale, func(draw uint64, rank int) float64 {
 				return lockTasBase + float64(draw%lockTasJitter)
 			})
 		},
@@ -123,8 +129,8 @@ func init() {
 	register(&Kernel{
 		Name: "lock-queue", Suite: "ext", Input: "384 tasks x 6 acquires", PM: "p",
 		Alpha: 2.5, Beta: 2.0, MPKI: 0.05, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLockKernel(seed, scale, func(draw uint64, rank int) float64 {
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLock(seed, scale, func(draw uint64, rank int) float64 {
 				return lockQueueCost
 			})
 		},
@@ -132,8 +138,8 @@ func init() {
 	register(&Kernel{
 		Name: "lock-qbig", Suite: "ext", Input: "384 tasks x 6 acquires", PM: "p",
 		Alpha: 2.5, Beta: 2.0, MPKI: 0.05, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLockKernel(seed, scale, func(draw uint64, rank int) float64 {
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLock(seed, scale, func(draw uint64, rank int) float64 {
 				if rank == 0 {
 					return lockQBigFast
 				}

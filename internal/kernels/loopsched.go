@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"sync"
+
 	"aaws/internal/sim"
 	"aaws/internal/wsrt"
 )
@@ -32,33 +34,39 @@ const (
 	loopMinChunk  = 16   // dynamic/guided chunk floor
 )
 
-// loopSched is one member of the family; chunks partitions [0, n) given the
-// worker count.
-type loopSched struct {
+// loopInput is one member of the family, prepared: chunks partitions
+// [0, n) given the worker count, and want is the reference output. Run
+// never writes in.
+type loopInput struct {
 	n      int
 	in     []float64
-	out    []float64
-	want   lazy[[]float64]
 	chunks func(n, workers int) [][2]int
+	want   func() []float64
 }
 
-func newLoopSched(seed uint64, scale float64, chunks func(n, workers int) [][2]int) Workload {
+type loopSched struct {
+	*loopInput
+	out []float64
+}
+
+func prepareLoop(seed uint64, scale float64, chunks func(n, workers int) [][2]int) Input {
 	n := scaled(loopIters, scale)
 	rng := sim.NewRand(seed)
 	in := make([]float64, n)
 	for i := range in {
 		in[i] = rng.Float64()
 	}
-	k := &loopSched{n: n, in: in, out: make([]float64, n), chunks: chunks}
-	// Run never writes in, so the reference closure reuses it directly.
-	k.want = deferred(func() []float64 {
+	return &loopInput{n: n, in: in, chunks: chunks, want: sync.OnceValue(func() []float64 {
 		w := make([]float64, n)
 		for i := range w {
 			w[i] = loopBody(in[i], i, n)
 		}
 		return w
-	})
-	return k
+	})}
+}
+
+func (in *loopInput) Instance() Workload {
+	return &loopSched{loopInput: in, out: make([]float64, in.n)}
 }
 
 // loopBody is the per-iteration computation: a Horner-style polynomial whose
@@ -100,7 +108,7 @@ func (k *loopSched) Run(r *wsrt.Run) {
 }
 
 func (k *loopSched) Check() error {
-	return checkEqualF64("loopsched", k.out, k.want.get())
+	return checkEqualF64("loopsched", k.out, k.want())
 }
 
 // staticChunks splits [0, n) into one contiguous chunk per worker.
@@ -157,22 +165,22 @@ func init() {
 	register(&Kernel{
 		Name: "loop-static", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, staticChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, staticChunks)
 		},
 	})
 	register(&Kernel{
 		Name: "loop-dynamic", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, dynamicChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, dynamicChunks)
 		},
 	})
 	register(&Kernel{
 		Name: "loop-guided", Suite: "ext", Input: "4096 iters triangular", PM: "p",
 		Alpha: 2.2, Beta: 1.9, MPKI: 0.02, Extension: true,
-		New: func(seed uint64, scale float64) Workload {
-			return newLoopSched(seed, scale, guidedChunks)
+		Prepare: func(seed uint64, scale float64) Input {
+			return prepareLoop(seed, scale, guidedChunks)
 		},
 	})
 }

@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"aaws/internal/input"
 	"aaws/internal/sim"
@@ -10,14 +12,21 @@ import (
 
 // ---- matmul: recursive blocked matrix multiply (Cilk) ----
 
-type matmul struct {
-	n       int
-	a, b, c []float64
-	want    lazy[[]float64]
-	leaf    int
+// matmulInput is the prepared operands and the reference product. Run
+// never writes a or b.
+type matmulInput struct {
+	n    int
+	a, b []float64
+	leaf int
+	want func() []float64
 }
 
-func newMatmul(seed uint64, scale float64) Workload {
+type matmul struct {
+	*matmulInput
+	c []float64
+}
+
+func prepareMatmul(seed uint64, scale float64) Input {
 	n := 128
 	if scale > 1.5 {
 		n = 192
@@ -32,20 +41,23 @@ func newMatmul(seed uint64, scale float64) Workload {
 		a[i] = rng.Float64()
 		b[i] = rng.Float64()
 	}
-	k := &matmul{n: n, a: a, b: b, c: make([]float64, n*n), leaf: 16}
+	in := &matmulInput{n: n, a: a, b: b, leaf: 16}
 	// Reference: same blocked order serially for bit-exact comparison.
-	// Run never writes a or b, so the closure needs no snapshot.
-	k.want = deferred(func() []float64 {
+	in.want = sync.OnceValue(func() []float64 {
 		w := make([]float64, n*n)
-		k.blockSerial(w, 0, 0, 0, 0, 0, 0, n)
+		in.blockSerial(w, 0, 0, 0, 0, 0, 0, n)
 		return w
 	})
-	return k
+	return in
+}
+
+func (in *matmulInput) Instance() Workload {
+	return &matmul{matmulInput: in, c: make([]float64, in.n*in.n)}
 }
 
 // blockSerial computes C[ci:ci+s, cj:cj+s] += A[ai.., ak..] * B[bk.., bj..]
 // recursively in the same order as the parallel version.
-func (k *matmul) blockSerial(c []float64, ci, cj, ai, ak, bk, bj, s int) {
+func (k *matmulInput) blockSerial(c []float64, ci, cj, ai, ak, bk, bj, s int) {
 	if s <= k.leaf {
 		n := k.n
 		for i := 0; i < s; i++ {
@@ -116,18 +128,24 @@ func (k *matmul) Run(r *wsrt.Run) {
 }
 
 func (k *matmul) Check() error {
-	return checkEqualF64("matmul", k.c, k.want.get())
+	return checkEqualF64("matmul", k.c, k.want())
 }
 
 // ---- clsky: tiled Cholesky factorization (Cilk "cholesky" stand-in) ----
 
-type clsky struct {
+// clskyInput is the prepared SPD matrix and its reference factorization.
+type clskyInput struct {
 	n, tile int
-	a       []float64 // factored in place (lower triangle)
-	want    lazy[[]float64]
+	a       []float64
+	want    func() []float64
 }
 
-func newClsky(seed uint64, scale float64) Workload {
+type clsky struct {
+	*clskyInput
+	work []float64 // a copy of the input matrix, factored in place (lower triangle)
+}
+
+func prepareClsky(seed uint64, scale float64) Input {
 	n := scaled(144, scale)
 	tile := 16
 	n = (n / tile) * tile
@@ -154,30 +172,33 @@ func newClsky(seed uint64, scale float64) Workload {
 			a[j*n+i] = s
 		}
 	}
-	k := &clsky{n: n, tile: tile, a: append([]float64(nil), a...)}
-	// Serial reference using the identical tiled algorithm; a stays
-	// pristine (k.a is its own copy), so the closure factors it on demand.
-	k.want = deferred(func() []float64 {
-		w := append([]float64(nil), a...)
+	in := &clskyInput{n: n, tile: tile, a: a}
+	// Serial reference using the identical tiled algorithm on a copy.
+	in.want = sync.OnceValue(func() []float64 {
+		w := slices.Clone(a)
 		nt := n / tile
 		for kk := 0; kk < nt; kk++ {
-			k.potrf(w, kk)
+			in.potrf(w, kk)
 			for i := kk + 1; i < nt; i++ {
-				k.trsm(w, i, kk)
+				in.trsm(w, i, kk)
 			}
 			for i := kk + 1; i < nt; i++ {
 				for j := kk + 1; j <= i; j++ {
-					k.update(w, i, j, kk)
+					in.update(w, i, j, kk)
 				}
 			}
 		}
 		return w
 	})
-	return k
+	return in
+}
+
+func (in *clskyInput) Instance() Workload {
+	return &clsky{clskyInput: in, work: slices.Clone(in.a)}
 }
 
 // potrf factors diagonal tile (kk,kk) in place.
-func (k *clsky) potrf(a []float64, kk int) {
+func (k *clskyInput) potrf(a []float64, kk int) {
 	n, t := k.n, k.tile
 	base := kk * t
 	for j := 0; j < t; j++ {
@@ -198,7 +219,7 @@ func (k *clsky) potrf(a []float64, kk int) {
 }
 
 // trsm solves tile (i,kk) against the factored diagonal tile (kk,kk).
-func (k *clsky) trsm(a []float64, i, kk int) {
+func (k *clskyInput) trsm(a []float64, i, kk int) {
 	n, t := k.n, k.tile
 	ib, kb := i*t, kk*t
 	for r := 0; r < t; r++ {
@@ -213,7 +234,7 @@ func (k *clsky) trsm(a []float64, i, kk int) {
 }
 
 // update applies tile (i,kk)*(j,kk)^T to tile (i,j).
-func (k *clsky) update(a []float64, i, j, kk int) {
+func (k *clskyInput) update(a []float64, i, j, kk int) {
 	n, t := k.n, k.tile
 	ib, jb, kb := i*t, j*t, kk*t
 	for r := 0; r < t; r++ {
@@ -237,14 +258,14 @@ func (k *clsky) Run(r *wsrt.Run) {
 	ft := float64(t)
 	r.SerialWork(2000)
 	for kk := 0; kk < nt; kk++ {
-		k.potrf(k.a, kk)
+		k.potrf(k.work, kk)
 		r.SerialWork(ft * ft * ft / 3 * 4)
 		if kk+1 >= nt {
 			break
 		}
 		r.ParallelFor(kk+1, nt, 1, func(c *wsrt.Ctx, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				k.trsm(k.a, i, kk)
+				k.trsm(k.work, i, kk)
 			}
 			c.Work(float64(hi-lo) * ft * ft * ft * 4)
 		})
@@ -257,7 +278,7 @@ func (k *clsky) Run(r *wsrt.Run) {
 		}
 		r.ParallelFor(0, len(pairs), 1, func(c *wsrt.Ctx, lo, hi int) {
 			for p := lo; p < hi; p++ {
-				k.update(k.a, pairs[p][0], pairs[p][1], kk)
+				k.update(k.work, pairs[p][0], pairs[p][1], kk)
 			}
 			c.Work(float64(hi-lo) * ft * ft * ft * 5)
 		})
@@ -266,18 +287,24 @@ func (k *clsky) Run(r *wsrt.Run) {
 }
 
 func (k *clsky) Check() error {
-	return checkEqualF64("clsky", k.a, k.want.get())
+	return checkEqualF64("clsky", k.work, k.want())
 }
 
 // ---- heat: 2D Jacobi heat diffusion (Cilk) ----
 
-type heat struct {
+// heatInput is the prepared initial grid and the reference final grid.
+type heatInput struct {
 	nx, ny, steps int
-	grid, next    []float64
-	want          lazy[[]float64]
+	grid          []float64
+	want          func() []float64
 }
 
-func newHeat(seed uint64, scale float64) Workload {
+type heat struct {
+	*heatInput
+	cur, next []float64 // Run steps between these, starting from a copy of the input grid
+}
+
+func prepareHeat(seed uint64, scale float64) Input {
 	nx, ny := scaled(256, scale), 64
 	steps := 20
 	rng := sim.NewRand(seed)
@@ -285,23 +312,25 @@ func newHeat(seed uint64, scale float64) Workload {
 	for i := range grid {
 		grid[i] = rng.Float64() * 100
 	}
-	k := &heat{nx: nx, ny: ny, steps: steps,
-		grid: append([]float64(nil), grid...), next: make([]float64, nx*ny)}
-	// Serial reference from the pristine initial grid (k.grid is a copy).
-	k.want = deferred(func() []float64 {
-		cur := append([]float64(nil), grid...)
+	in := &heatInput{nx: nx, ny: ny, steps: steps, grid: grid}
+	in.want = sync.OnceValue(func() []float64 {
+		cur := slices.Clone(grid)
 		nxt := make([]float64, nx*ny)
 		for s := 0; s < steps; s++ {
-			k.step(cur, nxt)
+			in.step(cur, nxt)
 			cur, nxt = nxt, cur
 		}
 		return cur
 	})
-	return k
+	return in
+}
+
+func (in *heatInput) Instance() Workload {
+	return &heat{heatInput: in, cur: slices.Clone(in.grid), next: make([]float64, len(in.grid))}
 }
 
 // step applies one Jacobi iteration from src into dst.
-func (k *heat) step(src, dst []float64) {
+func (k *heatInput) step(src, dst []float64) {
 	nx, ny := k.nx, k.ny
 	for x := 0; x < nx; x++ {
 		for y := 0; y < ny; y++ {
@@ -326,7 +355,7 @@ func (k *heat) step(src, dst []float64) {
 
 func (k *heat) Run(r *wsrt.Run) {
 	nx, ny := k.nx, k.ny
-	cur, nxt := k.grid, k.next
+	cur, nxt := k.cur, k.next
 	r.SerialWork(2000)
 	for s := 0; s < k.steps; s++ {
 		// Recursive divide over rows (the Cilk version splits the grid
@@ -359,21 +388,26 @@ func (k *heat) Run(r *wsrt.Run) {
 		cur, nxt = nxt, cur
 		r.SerialWork(200)
 	}
-	k.grid = cur
+	k.cur = cur
 	r.SerialWork(500)
 }
 
 func (k *heat) Check() error {
-	return checkEqualF64("heat", k.grid, k.want.get())
+	return checkEqualF64("heat", k.cur, k.want())
 }
 
 // ---- bscholes: Black-Scholes option pricing (PARSEC) ----
 
+// bscholesInput is the prepared option set and the reference prices.
+type bscholesInput struct {
+	opts []input.Option
+	want func() []float64
+}
+
 type bscholes struct {
-	opts   []input.Option
+	*bscholesInput
 	rounds int
 	prices []float64
-	want   lazy[[]float64]
 	grain  int
 }
 
@@ -401,18 +435,19 @@ func price(o input.Option) float64 {
 	return o.Strike*math.Exp(-o.Rate*o.Time)*cnd(-d2) - o.Spot*cnd(-d1)
 }
 
-func newBscholes(seed uint64, scale float64) Workload {
-	n := scaled(1024, scale)
-	opts := input.Options(seed, n)
-	k := &bscholes{opts: opts, rounds: 8, grain: max(1, n/64)}
-	k.want = deferred(func() []float64 {
+func prepareBscholes(seed uint64, scale float64) Input {
+	opts := input.Options(seed, scaled(1024, scale))
+	return &bscholesInput{opts: opts, want: sync.OnceValue(func() []float64 {
 		w := make([]float64, len(opts))
 		for i, o := range opts {
 			w[i] = price(o)
 		}
 		return w
-	})
-	return k
+	})}
+}
+
+func (in *bscholesInput) Instance() Workload {
+	return &bscholes{bscholesInput: in, rounds: 8, grain: max(1, len(in.opts)/64)}
 }
 
 func (k *bscholes) Run(r *wsrt.Run) {
@@ -434,7 +469,7 @@ func (k *bscholes) Run(r *wsrt.Run) {
 }
 
 func (k *bscholes) Check() error {
-	return checkEqualF64("bscholes", k.prices, k.want.get())
+	return checkEqualF64("bscholes", k.prices, k.want())
 }
 
 func max(a, b int) int {
@@ -447,18 +482,18 @@ func max(a, b int) int {
 func init() {
 	register(&Kernel{
 		Name: "clsky", Suite: "cilk", Input: "spd_144x144_tiled16", PM: "rss",
-		Alpha: 2.4, Beta: 1.7, MPKI: 0.02, New: newClsky,
+		Alpha: 2.4, Beta: 1.7, MPKI: 0.02, Prepare: prepareClsky,
 	})
 	register(&Kernel{
 		Name: "heat", Suite: "cilk", Input: "-g 1 -nx 256 -ny 64 -nt 20", PM: "rss",
-		Alpha: 2.3, Beta: 2.1, MPKI: 0.04, New: newHeat,
+		Alpha: 2.3, Beta: 2.1, MPKI: 0.04, Prepare: prepareHeat,
 	})
 	register(&Kernel{
 		Name: "matmul", Suite: "cilk", Input: "128", PM: "rss",
-		Alpha: 2.0, Beta: 3.6, MPKI: 0.0, New: newMatmul,
+		Alpha: 2.0, Beta: 3.6, MPKI: 0.0, Prepare: prepareMatmul,
 	})
 	register(&Kernel{
 		Name: "bscholes", Suite: "parsec", Input: "1024 options", PM: "p",
-		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, New: newBscholes,
+		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, Prepare: prepareBscholes,
 	})
 }

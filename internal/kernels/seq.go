@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"aaws/internal/input"
 	"aaws/internal/wsrt"
@@ -10,14 +11,20 @@ import (
 
 // ---- dict: batch hash-table insert + lookup (PBBS) ----
 
-type dict struct {
+// dictInput is the prepared key and query streams and the reference hit
+// count.
+type dictInput struct {
 	keys    []int32
 	queries []int32
-	table   []int32
-	mask    int
-	found   int
-	want    lazy[int]
-	grain   int
+	want    func() int
+}
+
+type dict struct {
+	*dictInput
+	table []int32
+	mask  int
+	found int
+	grain int
 }
 
 func hash32(x int32) uint32 {
@@ -30,12 +37,12 @@ func hash32(x int32) uint32 {
 	return v
 }
 
-func newDict(seed uint64, scale float64) Workload {
+func prepareDict(seed uint64, scale float64) Input {
 	n := scaled(120000, scale)
 	keys := input.ExptSeqInt(seed, n)
 	queries := input.ExptSeqInt(seed^0xbeef, n/2)
 	// Reference: how many queries hit the key set.
-	want := deferred(func() int {
+	want := sync.OnceValue(func() int {
 		set := map[int32]bool{}
 		for _, k := range keys {
 			set[k] = true
@@ -48,12 +55,22 @@ func newDict(seed uint64, scale float64) Workload {
 		}
 		return hits
 	})
-	tabSize := 1
-	for tabSize < 2*n {
-		tabSize <<= 1
+	return &dictInput{keys: keys, queries: queries, want: want}
+}
+
+func (in *dictInput) Instance() Workload {
+	tabSize := hashTableSize(len(in.keys))
+	return &dict{dictInput: in, mask: tabSize - 1, table: make([]int32, tabSize), grain: 512}
+}
+
+// hashTableSize is the open-addressing table size for n entries: the
+// smallest power of two at least 2n.
+func hashTableSize(n int) int {
+	size := 1
+	for size < 2*n {
+		size <<= 1
 	}
-	return &dict{keys: keys, queries: queries, want: want, mask: tabSize - 1,
-		table: make([]int32, tabSize), grain: 512}
+	return size
 }
 
 func (k *dict) Run(r *wsrt.Run) {
@@ -111,21 +128,27 @@ func (k *dict) Run(r *wsrt.Run) {
 }
 
 func (k *dict) Check() error {
-	if k.found != k.want.get() {
-		return fmt.Errorf("dict: %d lookups hit, want %d", k.found, k.want.get())
+	if k.found != k.want() {
+		return fmt.Errorf("dict: %d lookups hit, want %d", k.found, k.want())
 	}
 	return nil
 }
 
 // ---- rdups: remove duplicates by parallel hashing (PBBS) ----
 
-type rdups struct {
+// rdupsInput is the prepared (word, value) pairs and the reference
+// distinct-word count.
+type rdupsInput struct {
 	words []string
 	vals  []int32
+	want  func() int
+}
+
+type rdups struct {
+	*rdupsInput
 	table []int32 // index of first claiming pair, -1 empty
 	mask  int
 	kept  int
-	want  lazy[int]
 	grain int
 }
 
@@ -138,22 +161,21 @@ func hashStr(s string) uint32 {
 	return h
 }
 
-func newRdups(seed uint64, scale float64) Workload {
-	n := scaled(100000, scale)
-	words, vals := input.TrigramPairs(seed, n)
-	want := deferred(func() int {
+func prepareRdups(seed uint64, scale float64) Input {
+	words, vals := input.TrigramPairs(seed, scaled(100000, scale))
+	want := sync.OnceValue(func() int {
 		set := map[string]bool{}
 		for _, w := range words {
 			set[w] = true
 		}
 		return len(set)
 	})
-	tabSize := 1
-	for tabSize < 2*n {
-		tabSize <<= 1
-	}
-	return &rdups{words: words, vals: vals, want: want, mask: tabSize - 1,
-		table: make([]int32, tabSize), grain: 512}
+	return &rdupsInput{words: words, vals: vals, want: want}
+}
+
+func (in *rdupsInput) Instance() Workload {
+	tabSize := hashTableSize(len(in.words))
+	return &rdups{rdupsInput: in, mask: tabSize - 1, table: make([]int32, tabSize), grain: 512}
 }
 
 func (k *rdups) Run(r *wsrt.Run) {
@@ -196,18 +218,23 @@ func (k *rdups) Run(r *wsrt.Run) {
 }
 
 func (k *rdups) Check() error {
-	if k.kept != k.want.get() {
-		return fmt.Errorf("rdups: kept %d distinct, want %d", k.kept, k.want.get())
+	if k.kept != k.want() {
+		return fmt.Errorf("rdups: kept %d distinct, want %d", k.kept, k.want())
 	}
 	return nil
 }
 
 // ---- sarray: suffix array by parallel prefix doubling (PBBS) ----
 
-type sarray struct {
+// sarrayInput is the prepared text and its reference suffix array.
+type sarrayInput struct {
 	text []byte
-	sa   []int32
-	want lazy[[]int32]
+	want func() []int32
+}
+
+type sarray struct {
+	*sarrayInput
+	sa []int32
 }
 
 func serialSuffixArray(text []byte) []int32 {
@@ -230,11 +257,12 @@ func serialSuffixArray(text []byte) []int32 {
 	return sa
 }
 
-func newSarray(seed uint64, scale float64) Workload {
-	n := scaled(10000, scale)
-	text := input.TrigramString(seed, n)
-	return &sarray{text: text, want: deferred(func() []int32 { return serialSuffixArray(text) })}
+func prepareSarray(seed uint64, scale float64) Input {
+	text := input.TrigramString(seed, scaled(10000, scale))
+	return &sarrayInput{text: text, want: sync.OnceValue(func() []int32 { return serialSuffixArray(text) })}
 }
+
+func (in *sarrayInput) Instance() Workload { return &sarray{sarrayInput: in} }
 
 // saCtx carries the prefix-doubling state across phases.
 type saCtx struct {
@@ -361,20 +389,20 @@ func parallelQsortIdx(c *wsrt.Ctx, idx []int32, lo, hi, leaf int, less func(a, b
 }
 
 func (k *sarray) Check() error {
-	return checkEqualInt32("sarray", k.sa, k.want.get())
+	return checkEqualInt32("sarray", k.sa, k.want())
 }
 
 func init() {
 	register(&Kernel{
 		Name: "dict", Suite: "pbbs", Input: "exptSeq_120K_int", PM: "p",
-		Alpha: 2.8, Beta: 1.7, MPKI: 7.0, New: newDict,
+		Alpha: 2.8, Beta: 1.7, MPKI: 7.0, Prepare: prepareDict,
 	})
 	register(&Kernel{
 		Name: "rdups", Suite: "pbbs", Input: "trigramSeq_100K_pair_int", PM: "p",
-		Alpha: 2.6, Beta: 1.7, MPKI: 7.6, New: newRdups,
+		Alpha: 2.6, Beta: 1.7, MPKI: 7.6, Prepare: prepareRdups,
 	})
 	register(&Kernel{
 		Name: "sarray", Suite: "pbbs", Input: "trigramString_10K", PM: "p",
-		Alpha: 2.5, Beta: 2.3, MPKI: 10.0, New: newSarray,
+		Alpha: 2.5, Beta: 2.3, MPKI: 10.0, Prepare: prepareSarray,
 	})
 }

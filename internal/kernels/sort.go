@@ -1,8 +1,11 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"aaws/internal/input"
 	"aaws/internal/wsrt"
@@ -99,26 +102,39 @@ func serialSortCostInt32(a []int32) float64 {
 	return cost + float64(len(a))*costSwap
 }
 
+// sortInput is the prepared input shared by the sort kernels: the unsorted
+// keys, their sorted reference, and the kernel's instance constructor. Run
+// sorts in place, so every instance sorts its own copy of keys (or, like
+// sampsort, writes a fresh output).
+type sortInput[T cmp.Ordered] struct {
+	keys     []T
+	want     func() []T
+	instance func(in *sortInput[T]) Workload
+}
+
+func prepareSort[T cmp.Ordered](keys []T, instance func(in *sortInput[T]) Workload) Input {
+	return &sortInput[T]{
+		keys:     keys,
+		want:     sync.OnceValue(func() []T { return sortedCopy(keys) }),
+		instance: instance,
+	}
+}
+
+func (in *sortInput[T]) Instance() Workload { return in.instance(in) }
+
 // ---- cilksort: recursive merge sort with parallel merge (Cilk suite) ----
 
 type cilksort struct {
+	*sortInput[int32]
 	data []int32
 	tmp  []int32
-	want lazy[[]int32]
 	leaf int
 }
 
-func newCilksort(seed uint64, scale float64) Workload {
-	n := scaled(60000, scale)
-	data := input.RandomSeqInt(seed, n)
-	// Run sorts data in place, so the reference closure snapshots it now.
-	orig := append([]int32(nil), data...)
-	return &cilksort{
-		data: data,
-		tmp:  make([]int32, n),
-		want: deferred(func() []int32 { return sortedCopyInt32(orig) }),
-		leaf: 512,
-	}
+func prepareCilksort(seed uint64, scale float64) Input {
+	return prepareSort(input.RandomSeqInt(seed, scaled(60000, scale)), func(in *sortInput[int32]) Workload {
+		return &cilksort{sortInput: in, data: slices.Clone(in.keys), tmp: make([]int32, len(in.keys)), leaf: 512}
+	})
 }
 
 func (k *cilksort) Run(r *wsrt.Run) {
@@ -208,7 +224,7 @@ func (k *cilksort) merge(c *wsrt.Ctx, src []int32, a1, b1, a2, b2 int, dst []int
 }
 
 func (k *cilksort) Check() error {
-	return checkEqualInt32("cilksort", k.data, k.want.get())
+	return checkEqualInt32("cilksort", k.data, k.want())
 }
 
 // ---- qsort: parallel quicksort, recursive spawn-and-sync (PBBS) ----
@@ -217,16 +233,15 @@ func (k *cilksort) Check() error {
 // partitions wildly uneven, producing the large LP regions Section V-B
 // discusses.
 type qsortF64 struct {
+	*sortInput[float64]
 	data []float64
-	want lazy[[]float64]
 	leaf int
 }
 
-func newQsort1(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	data := input.ExptSeqFloat(seed, n)
-	orig := append([]float64(nil), data...)
-	return &qsortF64{data: data, want: deferred(func() []float64 { return sortedCopyF64(orig) }), leaf: 256}
+func prepareQsort1(seed uint64, scale float64) Input {
+	return prepareSort(input.ExptSeqFloat(seed, scaled(25000, scale)), func(in *sortInput[float64]) Workload {
+		return &qsortF64{sortInput: in, data: slices.Clone(in.keys), leaf: 256}
+	})
 }
 
 func (k *qsortF64) Run(r *wsrt.Run) {
@@ -279,22 +294,21 @@ func (k *qsortF64) qsort(c *wsrt.Ctx, lo, hi int) {
 }
 
 func (k *qsortF64) Check() error {
-	return checkEqualF64("qsort-1", k.data, k.want.get())
+	return checkEqualF64("qsort-1", k.data, k.want())
 }
 
 // qsortStr is qsort-2: trigram strings; comparisons cost per inspected
 // character.
 type qsortStr struct {
+	*sortInput[string]
 	data []string
-	want lazy[[]string]
 	leaf int
 }
 
-func newQsort2(seed uint64, scale float64) Workload {
-	n := scaled(30000, scale)
-	data := input.TrigramWords(seed, n)
-	orig := append([]string(nil), data...)
-	return &qsortStr{data: data, want: deferred(func() []string { return sortedCopyStr(orig) }), leaf: 256}
+func prepareQsort2(seed uint64, scale float64) Input {
+	return prepareSort(input.TrigramWords(seed, scaled(30000, scale)), func(in *sortInput[string]) Workload {
+		return &qsortStr{sortInput: in, data: slices.Clone(in.keys), leaf: 256}
+	})
 }
 
 func (k *qsortStr) Run(r *wsrt.Run) {
@@ -354,9 +368,10 @@ func (k *qsortStr) qsort(c *wsrt.Ctx, lo, hi int) {
 }
 
 func (k *qsortStr) Check() error {
+	want := k.want()
 	for i := range k.data {
-		if k.data[i] != k.want.get()[i] {
-			return fmt.Errorf("qsort-2: element %d: %q != %q", i, k.data[i], k.want.get()[i])
+		if k.data[i] != want[i] {
+			return fmt.Errorf("qsort-2: element %d: %q != %q", i, k.data[i], want[i])
 		}
 	}
 	return nil
@@ -364,28 +379,29 @@ func (k *qsortStr) Check() error {
 
 // ---- sampsort: sample sort with nested parallelism (PBBS) ----
 
+// sampsort reads the shared keys and scatters them into a buffer of its
+// own, so instances need no copy of the input.
 type sampsort struct {
-	data    []float64
-	want    lazy[[]float64]
+	*sortInput[float64]
+	out     []float64 // the sorted result
 	buckets int
 	blocks  int
 }
 
-func newSampsort(seed uint64, scale float64) Workload {
-	n := scaled(25000, scale)
-	data := input.ExptSeqFloat(seed^0x5a, n)
-	orig := append([]float64(nil), data...)
-	return &sampsort{data: data, want: deferred(func() []float64 { return sortedCopyF64(orig) }), buckets: 32, blocks: 32}
+func prepareSampsort(seed uint64, scale float64) Input {
+	return prepareSort(input.ExptSeqFloat(seed^0x5a, scaled(25000, scale)), func(in *sortInput[float64]) Workload {
+		return &sampsort{sortInput: in, buckets: 32, blocks: 32}
+	})
 }
 
 func (k *sampsort) Run(r *wsrt.Run) {
-	n := len(k.data)
+	n := len(k.keys)
 	nb, nk := k.blocks, k.buckets
 	// Serial sampling: pick and sort 8 samples per bucket.
 	sampleN := 8 * nk
 	samples := make([]float64, sampleN)
 	for i := range samples {
-		samples[i] = k.data[(i*2654435761)%n]
+		samples[i] = k.keys[(i*2654435761)%n]
 	}
 	sampleCost := serialSortCostF64(samples)
 	pivots := make([]float64, nk-1)
@@ -407,7 +423,7 @@ func (k *sampsort) Run(r *wsrt.Run) {
 				loB, hiB := 0, nk-1
 				for loB < hiB {
 					mid := (loB + hiB) / 2
-					if k.data[i] >= pivots[mid] {
+					if k.keys[i] >= pivots[mid] {
 						loB = mid + 1
 					} else {
 						hiB = mid
@@ -454,7 +470,7 @@ func (k *sampsort) Run(r *wsrt.Run) {
 			s, e := b*n/nb, (b+1)*n/nb
 			for i := s; i < e; i++ {
 				kk := bucketOf[i]
-				scattered[off[kk]] = k.data[i]
+				scattered[off[kk]] = k.keys[i]
 				off[kk]++
 			}
 			c.Work(float64(e-s) * (costWrite + costArith))
@@ -479,35 +495,36 @@ func (k *sampsort) Run(r *wsrt.Run) {
 			}
 		}, nil)
 	})
-	copy(k.data, scattered)
+	k.out = scattered
 	r.SerialWork(float64(n) * costWrite / 8) // final ownership copy (blocked)
 }
 
 func (k *sampsort) Check() error {
-	return checkEqualF64("sampsort", k.data, k.want.get())
+	return checkEqualF64("sampsort", k.out, k.want())
 }
 
 // ---- radix: LSD radix sort, parallel count+scatter per pass (PBBS) ----
 
 type radix struct {
+	*sortInput[int32]
 	name   string
 	data   []int32
-	want   lazy[[]int32]
 	blocks int
 }
 
-func newRadix1(seed uint64, scale float64) Workload {
-	n := scaled(80000, scale)
-	data := input.RandomSeqInt(seed, n)
-	orig := append([]int32(nil), data...)
-	return &radix{name: "radix-1", data: data, want: deferred(func() []int32 { return sortedCopyInt32(orig) }), blocks: 32}
+// radixInstance returns the constructor of a radix instance named name.
+func radixInstance(name string) func(in *sortInput[int32]) Workload {
+	return func(in *sortInput[int32]) Workload {
+		return &radix{sortInput: in, name: name, data: slices.Clone(in.keys), blocks: 32}
+	}
 }
 
-func newRadix2(seed uint64, scale float64) Workload {
-	n := scaled(60000, scale)
-	data := input.ExptSeqInt(seed, n)
-	orig := append([]int32(nil), data...)
-	return &radix{name: "radix-2", data: data, want: deferred(func() []int32 { return sortedCopyInt32(orig) }), blocks: 32}
+func prepareRadix1(seed uint64, scale float64) Input {
+	return prepareSort(input.RandomSeqInt(seed, scaled(80000, scale)), radixInstance("radix-1"))
+}
+
+func prepareRadix2(seed uint64, scale float64) Input {
+	return prepareSort(input.ExptSeqInt(seed, scaled(60000, scale)), radixInstance("radix-2"))
 }
 
 func (k *radix) Run(r *wsrt.Run) {
@@ -583,32 +600,32 @@ func (k *radix) Run(r *wsrt.Run) {
 }
 
 func (k *radix) Check() error {
-	return checkEqualInt32(k.name, k.data, k.want.get())
+	return checkEqualInt32(k.name, k.data, k.want())
 }
 
 func init() {
 	register(&Kernel{
 		Name: "qsort-1", Suite: "pbbs", Input: "exptSeq_25K_double", PM: "rss",
-		Alpha: 2.5, Beta: 1.7, MPKI: 0.0, New: newQsort1,
+		Alpha: 2.5, Beta: 1.7, MPKI: 0.0, Prepare: prepareQsort1,
 	})
 	register(&Kernel{
 		Name: "qsort-2", Suite: "pbbs", Input: "trigramSeq_30K", PM: "rss",
-		Alpha: 3.1, Beta: 1.9, MPKI: 0.0, New: newQsort2,
+		Alpha: 3.1, Beta: 1.9, MPKI: 0.0, Prepare: prepareQsort2,
 	})
 	register(&Kernel{
 		Name: "sampsort", Suite: "pbbs", Input: "exptSeq_25K_double", PM: "np",
-		Alpha: 2.5, Beta: 1.7, MPKI: 0.11, New: newSampsort,
+		Alpha: 2.5, Beta: 1.7, MPKI: 0.11, Prepare: prepareSampsort,
 	})
 	register(&Kernel{
 		Name: "radix-1", Suite: "pbbs", Input: "randomSeq_80K_int", PM: "p",
-		Alpha: 2.2, Beta: 1.8, MPKI: 7.7, New: newRadix1,
+		Alpha: 2.2, Beta: 1.8, MPKI: 7.7, Prepare: prepareRadix1,
 	})
 	register(&Kernel{
 		Name: "radix-2", Suite: "pbbs", Input: "exptSeq_60K_int", PM: "p",
-		Alpha: 2.1, Beta: 1.8, MPKI: 7.5, New: newRadix2,
+		Alpha: 2.1, Beta: 1.8, MPKI: 7.5, Prepare: prepareRadix2,
 	})
 	register(&Kernel{
 		Name: "cilksort", Suite: "cilk", Input: "randomSeq_60K_int", PM: "rss",
-		Alpha: 3.7, Beta: 1.3, MPKI: 2.3, New: newCilksort,
+		Alpha: 3.7, Beta: 1.3, MPKI: 2.3, Prepare: prepareCilksort,
 	})
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"aaws/internal/sim"
 	"aaws/internal/wsrt"
@@ -15,15 +16,20 @@ import (
 // schedule — but branch-and-bound always returns the optimum, which Check
 // verifies against dynamic programming.
 type ksack struct {
+	*ksackInput
+	best int32
+}
+
+// ksackInput is the prepared item set, capacity and reference optimum.
+type ksackInput struct {
 	weights []int32
 	values  []int32
 	cap     int32
-	best    int32
 	want    int32
 	spawnD  int
 }
 
-func newKsack(seed uint64, scale float64) Workload {
+func prepareKsack(seed uint64, scale float64) Input {
 	n := 24
 	rng := sim.NewRand(seed)
 	w := make([]int32, n)
@@ -40,7 +46,7 @@ func newKsack(seed uint64, scale float64) Workload {
 	if scale > 1.5 {
 		capacity = capacity * 12 / 11
 	}
-	k := &ksack{weights: w, values: v, cap: capacity, spawnD: 11}
+	in := &ksackInput{weights: w, values: v, cap: capacity, spawnD: 11}
 	// Reference optimum via DP over weights.
 	dp := make([]int32, capacity+1)
 	for i := 0; i < n; i++ {
@@ -50,9 +56,11 @@ func newKsack(seed uint64, scale float64) Workload {
 			}
 		}
 	}
-	k.want = dp[capacity]
-	return k
+	in.want = dp[capacity]
+	return in
 }
+
+func (in *ksackInput) Instance() Workload { return &ksack{ksackInput: in} }
 
 // bound returns an optimistic value bound: current value plus all remaining
 // item values (a simple but effective fractional-free bound).
@@ -125,16 +133,21 @@ func (k *ksack) Check() error {
 // geometric tree. Tasks are spawned down to a depth threshold; deeper
 // subtrees are traversed inline (matching UTS's chunked task sizes).
 type uts struct {
+	*utsInput
+	count int64
+}
+
+// utsInput is the prepared tree shape and the reference node count.
+type utsInput struct {
 	b0       float64
 	maxDepth int
 	spawnD   int
 	rootSeed uint64
-	count    int64
-	want     lazy[int64]
+	want     func() int64
 }
 
 // utsChildren derives node id's child count deterministically.
-func (k *uts) utsChildren(id uint64, depth int) int {
+func (k *utsInput) utsChildren(id uint64, depth int) int {
 	if depth >= k.maxDepth {
 		return 0
 	}
@@ -178,7 +191,7 @@ func childID(id uint64, i int) uint64 {
 	return z ^ (z >> 32)
 }
 
-func (k *uts) countSerial(id uint64, depth int) int64 {
+func (k *utsInput) countSerial(id uint64, depth int) int64 {
 	n := int64(1)
 	for i := 0; i < k.utsChildren(id, depth); i++ {
 		n += k.countSerial(childID(id, i), depth+1)
@@ -186,17 +199,19 @@ func (k *uts) countSerial(id uint64, depth int) int64 {
 	return n
 }
 
-func newUTS(seed uint64, scale float64) Workload {
-	k := &uts{b0: 4.0, maxDepth: 15, spawnD: 6, rootSeed: seed * 2654435761}
+func prepareUTS(seed uint64, scale float64) Input {
+	in := &utsInput{b0: 4.0, maxDepth: 15, spawnD: 6, rootSeed: seed * 2654435761}
 	if scale > 1.5 {
-		k.b0 = 4.3
+		in.b0 = 4.3
 	}
 	if scale < 0.5 {
-		k.b0 = 3.4
+		in.b0 = 3.4
 	}
-	k.want = deferred(func() int64 { return k.countSerial(k.rootSeed, 0) })
-	return k
+	in.want = sync.OnceValue(func() int64 { return in.countSerial(in.rootSeed, 0) })
+	return in
 }
+
+func (in *utsInput) Instance() Workload { return &uts{utsInput: in} }
 
 func (k *uts) explore(c *wsrt.Ctx, id uint64, depth int) {
 	k.count++ // atomic per body
@@ -227,8 +242,8 @@ func (k *uts) Run(r *wsrt.Run) {
 }
 
 func (k *uts) Check() error {
-	if k.count != k.want.get() {
-		return fmt.Errorf("uts: visited %d nodes, want %d", k.count, k.want.get())
+	if k.count != k.want() {
+		return fmt.Errorf("uts: visited %d nodes, want %d", k.count, k.want())
 	}
 	return nil
 }
@@ -236,10 +251,10 @@ func (k *uts) Check() error {
 func init() {
 	register(&Kernel{
 		Name: "ksack", Suite: "cilk", Input: "knapsack-24-items", PM: "rss",
-		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, New: newKsack,
+		Alpha: 2.4, Beta: 1.9, MPKI: 0.0, Prepare: prepareKsack,
 	})
 	register(&Kernel{
 		Name: "uts", Suite: "uts", Input: "-t 1 -a 2 -d 14 -b 3.4", PM: "np",
-		Alpha: 2.3, Beta: 2.0, MPKI: 0.02, New: newUTS,
+		Alpha: 2.3, Beta: 2.0, MPKI: 0.02, Prepare: prepareUTS,
 	})
 }
