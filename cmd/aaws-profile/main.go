@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"aaws/internal/core"
-	"aaws/internal/trace"
 	"aaws/internal/wsrt"
 )
 
@@ -50,8 +49,7 @@ func main() {
 		}
 	}
 
-	nBig, nLit := sys.Counts()
-	names := trace.CoreNames(nBig, nLit)
+	names := core.CoreLabels(core.DefaultSpec(*kernel, sys, wsrt.Base))
 	var baseTime float64
 	for _, v := range vs {
 		spec := core.DefaultSpec(*kernel, sys, v)

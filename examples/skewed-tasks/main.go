@@ -36,9 +36,10 @@ func program(r *wsrt.Run) {
 
 func run(v wsrt.Variant) wsrt.Report {
 	p := power.DefaultParams()
-	lut := model.GenerateLUT(model.Config{Params: p, NBig: 4, NLit: 4}, v.LUTMode())
+	cfg := model.Config{Params: p, NBig: 4, NLit: 4}
+	lut := model.GenerateLUT(cfg, v.LUTMode())
 	eng := sim.NewEngine()
-	m, err := machine.New(eng, machine.Config4B4L(p, lut))
+	m, err := machine.New(eng, machine.Config{Classes: cfg.NConfig().Classes, LUT: lut, InterruptCycles: 20})
 	if err != nil {
 		panic(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aaws/internal/kernels"
-	"aaws/internal/model"
 )
 
 // This file implements the batch execution path. RunBatch checks out one
@@ -32,48 +31,25 @@ import (
 // through that projection, and the common sweep shape (one kernel, five
 // variants) collapses to at most two partitions per kernel.
 type partitionKey struct {
-	kernel            string
-	nBig, nLit        int
-	mode              model.Mode
-	lutAlpha, lutBeta float64 // 0,0 = kernel's true alpha/beta
-	interruptCycles   int     // resolved (0 means the default 20)
-	transitionNs      float64
-	memStall          bool
-	// topo is the resolved N-way topology signature; empty for legacy
-	// 2-class cells, including topologies that collapse onto the legacy
-	// machine (those share the legacy partition, and its environment, by
-	// design). Elastic mode is deliberately NOT part of the key: like the
-	// variant and seed it is a per-cell runtime knob applied by runCell.
-	topo string
+	kernel          string
+	lut             lutKey // machine signature, LUT mode and α/β override
+	interruptCycles int    // resolved (0 means the default 20)
+	transitionNs    float64
+	memStall        bool
+	// Elastic mode is deliberately NOT part of the key: like the variant
+	// and seed it is a per-cell runtime knob applied by runCell.
 }
 
-// partitionKeyOf computes the signature of a validated spec.
-func partitionKeyOf(spec Spec) partitionKey {
-	nBig, nLit := spec.counts()
-	topoSig := ""
-	if len(spec.Topology) > 0 {
-		t, err := resolveTopology(spec.Topology, kernels.Get(spec.Kernel))
-		if err != nil {
-			panic(err) // unreachable: the batch validated every spec
-		}
-		if t.legacy {
-			nBig, nLit = t.nBig, t.nLit
-		} else {
-			nBig, nLit = 0, 0
-			topoSig = t.sig
-		}
-	}
+// partitionKeyOf computes the signature of a validated spec on its
+// resolved machine m. A topology that resolves to a preset's class list has
+// the preset's signature, so it shares that partition and its environment.
+func partitionKeyOf(spec Spec, m machineDesc) partitionKey {
 	return partitionKey{
 		kernel:          spec.Kernel,
-		nBig:            nBig,
-		nLit:            nLit,
-		mode:            spec.Variant.LUTMode(),
-		lutAlpha:        spec.LUTAlpha,
-		lutBeta:         spec.LUTBeta,
+		lut:             lutKeyOf(m, spec),
 		interruptCycles: spec.InterruptCycles,
 		transitionNs:    spec.TransitionNsPerStep,
 		memStall:        spec.MemStall,
-		topo:            topoSig,
 	}
 }
 
@@ -103,13 +79,16 @@ type inputKey struct {
 func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 	// Validate everything up front: a batch either starts fully formed or
 	// not at all, so a typo in cell 93 cannot waste 92 simulations.
+	machines := make([]machineDesc, len(specs))
 	for i := range specs {
 		if specs[i].Scale == 0 {
 			specs[i].Scale = 1.0
 		}
-		if err := specs[i].Validate(); err != nil {
+		m, err := specs[i].resolve()
+		if err != nil {
 			return nil, fmt.Errorf("core: batch cell %d: %w", i, err)
 		}
+		machines[i] = m
 	}
 
 	// Group by input, preserving first-appearance order of groups and
@@ -133,10 +112,10 @@ func RunBatchCtx(ctx context.Context, specs []Spec) ([]Result, error) {
 	for _, k := range keys {
 		in := kernels.Get(k.kernel).Prepare(k.seed, k.scale)
 		for _, i := range groups[k] {
-			pk := partitionKeyOf(specs[i])
+			pk := partitionKeyOf(specs[i], machines[i])
 			env := envs[pk]
 			if env == nil {
-				e := newCellEnv(specs[i], eng)
+				e := newCellEnv(specs[i], machines[i], eng)
 				env = &e
 				envs[pk] = env
 			}

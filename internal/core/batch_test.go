@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"aaws/internal/kernels"
-	"aaws/internal/model"
-	"aaws/internal/power"
 	"aaws/internal/sim"
 	"aaws/internal/wsrt"
 )
@@ -216,13 +214,18 @@ func TestLUTCacheLRU(t *testing.T) {
 		lutCache.Unlock()
 	}()
 
-	// Distinct core mixes give distinct keys; the params stay fixed.
-	p := power.DefaultParams()
+	// Distinct core mixes give distinct keys; the kernel and mode stay fixed.
 	probe := func(nLit int) lutKey {
-		if cachedLUT(p, 1, nLit, model.ModeNominal) == nil {
+		spec := Spec{Kernel: "cilksort", NBig: 1, NLit: nLit, Variant: wsrt.Base}
+		m, err := resolveMachine(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := lutKeyOf(m, spec)
+		if cachedLUT(m, key) == nil {
 			t.Fatalf("cachedLUT returned nil for 1B%dL", nLit)
 		}
-		return lutKey{params: p, nBig: 1, nLit: nLit, mode: model.ModeNominal}
+		return key
 	}
 	contains := func(k lutKey) bool {
 		lutCache.Lock()

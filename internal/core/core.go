@@ -98,8 +98,8 @@ type Spec struct {
 	// all generalize to arbitrary shapes.
 	NBig, NLit int
 	// Topology, when non-empty, replaces the 2-class core mix with an
-	// N-way class list (fastest first; see CoreClass for defaults and the
-	// legacy-collapse rule). Mutually exclusive with NBig/NLit, and — like
+	// N-way class list (fastest first; see CoreClass for defaults and for
+	// the topologies that resolve to a preset). Mutually exclusive with NBig/NLit, and — like
 	// every field added after the seed — omitted from the canonical spec
 	// encoding when unset, so existing spec hashes are unchanged.
 	Topology []CoreClass `json:",omitempty"`
@@ -133,20 +133,26 @@ type Spec struct {
 // variant must be one of the paper's five, and any fault schedule must be
 // consistent with the core mix.
 func (s Spec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolve validates the spec and returns its resolved machine.
+func (s Spec) resolve() (machineDesc, error) {
 	if kernels.Get(s.Kernel) == nil {
-		return fmt.Errorf("core: unknown kernel %q (have %v)", s.Kernel, kernels.Names())
+		return machineDesc{}, fmt.Errorf("core: unknown kernel %q (have %v)", s.Kernel, kernels.Names())
 	}
 	if s.NBig < 0 || s.NLit < 0 {
-		return fmt.Errorf("core: negative core counts %dB%dL", s.NBig, s.NLit)
+		return machineDesc{}, fmt.Errorf("core: negative core counts %dB%dL", s.NBig, s.NLit)
 	}
 	if s.NBig == 0 && s.NLit > 0 {
-		return fmt.Errorf("core: custom mix 0B%dL has no big core (core 0 hosts the root program)", s.NLit)
+		return machineDesc{}, fmt.Errorf("core: custom mix 0B%dL has no big core (core 0 hosts the root program)", s.NLit)
 	}
 	if s.NBig == 0 && s.System != Sys4B4L && s.System != Sys1B7L {
-		return fmt.Errorf("core: unknown system %d", int(s.System))
+		return machineDesc{}, fmt.Errorf("core: unknown system %d", int(s.System))
 	}
 	if s.Scale <= 0 {
-		return fmt.Errorf("core: scale %g must be positive", s.Scale)
+		return machineDesc{}, fmt.Errorf("core: scale %g must be positive", s.Scale)
 	}
 	known := false
 	for _, v := range wsrt.Variants {
@@ -156,42 +162,40 @@ func (s Spec) Validate() error {
 		}
 	}
 	if !known {
-		return fmt.Errorf("core: unknown runtime variant %d", int(s.Variant))
+		return machineDesc{}, fmt.Errorf("core: unknown runtime variant %d", int(s.Variant))
 	}
-	numCores := 0
 	if len(s.Topology) > 0 {
 		if s.NBig > 0 || s.NLit > 0 {
-			return fmt.Errorf("core: Topology and NBig/NLit are mutually exclusive")
+			return machineDesc{}, fmt.Errorf("core: Topology and NBig/NLit are mutually exclusive")
 		}
 		if s.AdaptiveDVFS {
-			return fmt.Errorf("core: adaptive DVFS is not supported with an N-way topology")
+			return machineDesc{}, fmt.Errorf("core: adaptive DVFS is not supported with an N-way topology")
 		}
 		if s.LUTAlpha > 0 || s.LUTBeta > 0 {
-			return fmt.Errorf("core: LUTAlpha/LUTBeta overrides are not supported with an N-way topology")
+			return machineDesc{}, fmt.Errorf("core: LUTAlpha/LUTBeta overrides are not supported with an N-way topology")
 		}
-		t, err := resolveTopology(s.Topology, kernels.Get(s.Kernel))
-		if err != nil {
-			return err
-		}
-		numCores = t.numCores()
-	} else {
-		nBig, nLit := s.counts()
-		numCores = nBig + nLit
+	}
+	m, err := resolveMachine(s)
+	if err != nil {
+		return machineDesc{}, err
 	}
 	if s.Faults != nil {
-		if err := s.Faults.Validate(numCores); err != nil {
-			return err
+		if err := s.Faults.Validate(m.numCores()); err != nil {
+			return machineDesc{}, err
 		}
 	}
-	return nil
+	return m, nil
 }
 
-// counts resolves the effective core mix.
-func (s Spec) counts() (nBig, nLit int) {
-	if s.NBig > 0 {
-		return s.NBig, s.NLit
+// CoreLabels returns the per-core labels trace outputs use for spec's
+// machine (see trace.CoreNames): B0…/L0… on a 2-class machine, one label
+// per core of each class otherwise. It returns nil for an invalid spec.
+func CoreLabels(spec Spec) []string {
+	m, err := resolveMachine(spec)
+	if err != nil {
+		return nil
 	}
-	return s.System.Counts()
+	return trace.CoreNames(model.NConfig{Classes: m.classes}.Counts()...)
 }
 
 // DefaultSpec returns a Spec with the evaluation defaults.
@@ -260,15 +264,22 @@ func (r Result) SpeedupVsBig() float64 {
 }
 
 // lutKey identifies a DVFS lookup table by everything generation depends
-// on. power.Params is a flat struct of float64s, so the key is comparable.
-// topo is empty for legacy 2-class tables; for N-way tables it is the
-// resolved topology signature (which pins every class's count, speed and
-// power) and the params/nBig/nLit fields stay zero.
+// on: the resolved machine signature (which pins every class's count, side
+// and alpha/beta), the mode, and any LUT alpha/beta override.
 type lutKey struct {
-	params     power.Params
-	nBig, nLit int
-	mode       model.Mode
-	topo       string
+	sig               string
+	mode              model.Mode
+	lutAlpha, lutBeta float64 // 0,0 = the machine's own parameters
+}
+
+// lutKeyOf returns the table key of spec on machine m. The override
+// applies only when both estimates are set.
+func lutKeyOf(m machineDesc, spec Spec) lutKey {
+	k := lutKey{sig: m.sig, mode: spec.Variant.LUTMode()}
+	if spec.LUTAlpha > 0 && spec.LUTBeta > 0 {
+		k.lutAlpha, k.lutBeta = spec.LUTAlpha, spec.LUTBeta
+	}
+	return k
 }
 
 // lutNode is one entry in the LRU list (most recently used at head).
@@ -325,8 +336,11 @@ func lutMoveToFront(n *lutNode) {
 	}
 }
 
-func cachedLUT(params power.Params, nBig, nLit int, mode model.Mode) *model.LUT {
-	key := lutKey{params: params, nBig: nBig, nLit: nLit, mode: mode}
+// cachedLUT returns the lookup table for machine m under key, generating
+// and inserting it on a miss. An override generates the table from every
+// class's parameters with the estimated alpha/beta (Validate allows it
+// only on the paper's pair, whose classes share one Params).
+func cachedLUT(m machineDesc, key lutKey) *model.LUT {
 	c := &lutCache
 	c.Lock()
 	if n, ok := c.m[key]; ok {
@@ -339,11 +353,18 @@ func cachedLUT(params power.Params, nBig, nLit int, mode model.Mode) *model.LUT 
 	// serialize unrelated cache hits. Two goroutines racing on the same key
 	// may both generate; the table is deterministic, so either copy is
 	// interchangeable and the loser's work is merely wasted.
-	lut := model.GenerateLUT(model.Config{Params: params, NBig: nBig, NLit: nLit}, mode)
+	cfg := model.NConfig{Classes: m.classes}
+	if key.lutAlpha > 0 {
+		cfg.Classes = append([]model.NClass(nil), m.classes...)
+		for i := range cfg.Classes {
+			cfg.Classes[i].Params = cfg.Classes[i].Params.WithAlphaBeta(key.lutAlpha, key.lutBeta)
+		}
+	}
+	lut := model.GenerateNWayLUT(cfg, key.mode)
 	c.Lock()
+	defer c.Unlock()
 	if n, ok := c.m[key]; ok {
 		lutMoveToFront(n)
-		c.Unlock()
 		return n.lut
 	}
 	n := &lutNode{key: key, lut: lut}
@@ -360,7 +381,6 @@ func cachedLUT(params power.Params, nBig, nLit int, mode model.Mode) *model.LUT 
 		}
 		delete(c.m, victim.key)
 	}
-	c.Unlock()
 	return lut
 }
 
@@ -374,58 +394,28 @@ func Run(spec Spec) (Result, error) {
 }
 
 // cellEnv is the spec-invariant execution state one sweep cell needs: the
-// resolved kernel, core mix, power parameters, DVFS lookup table, a warm
+// resolved kernel, machine class list, DVFS lookup table, a warm
 // simulation engine, and a reusable region tracker. RunCtx builds one per
 // call; the batch path builds one per partition, every partition sharing
 // the batch's single engine.
 type cellEnv struct {
-	k          *kernels.Kernel
-	nBig, nLit int
-	p          power.Params
-	lut        *model.LUT
-	eng        *sim.Engine
-	tracker    *stats.Tracker
-	// topo is non-nil on the N-way path: a topology that did not collapse
-	// onto the legacy 2-class machine.
-	topo *topology
+	k       *kernels.Kernel
+	classes []model.NClass
+	lut     *model.LUT
+	eng     *sim.Engine
+	tracker *stats.Tracker
 }
 
-// newCellEnv resolves the environment for a validated spec on eng: power
-// params from the kernel's Table III alpha/beta, the (cached) lookup table,
-// and a fresh tracker sized for the core mix. An N-way topology that
-// collapses onto the kernel's big.LITTLE pair resolves to exactly the
-// legacy environment.
-func newCellEnv(spec Spec, eng *sim.Engine) cellEnv {
-	k := kernels.Get(spec.Kernel)
-	nBig, nLit := spec.counts()
-	if len(spec.Topology) > 0 {
-		t, err := resolveTopology(spec.Topology, k)
-		if err != nil {
-			// Unreachable after Validate; fail loudly rather than run a
-			// machine the spec did not describe.
-			panic(err)
-		}
-		if !t.legacy {
-			return cellEnv{
-				k: k, p: power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta),
-				lut:     cachedNWayLUT(t, spec.Variant.LUTMode()),
-				eng:     eng,
-				tracker: stats.NewTracker(t.trackerClasses()),
-				topo:    &t,
-			}
-		}
-		nBig, nLit = t.nBig, t.nLit
-	}
-	p := power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta)
-	lutParams := p
-	if spec.LUTAlpha > 0 && spec.LUTBeta > 0 {
-		lutParams = p.WithAlphaBeta(spec.LUTAlpha, spec.LUTBeta)
-	}
-	lut := cachedLUT(lutParams, nBig, nLit, spec.Variant.LUTMode())
+// newCellEnv builds the environment for a validated spec on its resolved
+// machine m and engine eng: the (cached) lookup table and a fresh tracker
+// sized for the core mix.
+func newCellEnv(spec Spec, m machineDesc, eng *sim.Engine) cellEnv {
 	return cellEnv{
-		k: k, nBig: nBig, nLit: nLit, p: p, lut: lut,
+		k:       kernels.Get(spec.Kernel),
+		classes: m.classes,
+		lut:     cachedLUT(m, lutKeyOf(m, spec)),
 		eng:     eng,
-		tracker: stats.NewTracker(coreClasses(nBig, nLit)),
+		tracker: stats.NewTracker(m.trackerClasses()),
 	}
 }
 
@@ -437,10 +427,11 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 	if spec.Scale == 0 {
 		spec.Scale = 1.0
 	}
-	if err := spec.Validate(); err != nil {
+	m, err := spec.resolve()
+	if err != nil {
 		return Result{}, err
 	}
-	env := newCellEnv(spec, engines.get())
+	env := newCellEnv(spec, m, engines.get())
 	res, reuse, err := runCell(ctx, spec, &env, env.k.Prepare(spec.Seed, spec.Scale))
 	if reuse {
 		engines.put(env.eng)
@@ -457,18 +448,12 @@ func RunCtx(ctx context.Context, spec Spec) (Result, error) {
 // leave a drained root-program goroutine that may still briefly reference
 // the engine, so they forfeit it.
 func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ Result, reuse bool, _ error) {
-	eng, k, p := env.eng, env.k, env.p
+	eng, k := env.eng, env.k
 	eng.Reset()
 	env.tracker.Reset()
 	mcfg := machine.Config{
-		BigCores: env.nBig, LittleCores: env.nLit, Params: p, LUT: env.lut, InterruptCycles: 20,
+		Classes: env.classes, LUT: env.lut, InterruptCycles: 20,
 		TransitionNsPerStep: spec.TransitionNsPerStep,
-	}
-	numCores := env.nBig + env.nLit
-	if env.topo != nil {
-		mcfg.BigCores, mcfg.LittleCores = 0, 0
-		mcfg.Classes = env.topo.machineClasses()
-		numCores = env.topo.numCores()
 	}
 	if spec.InterruptCycles > 0 {
 		mcfg.InterruptCycles = spec.InterruptCycles
@@ -486,7 +471,7 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ 
 	var rec *trace.Recorder
 	var st *obs.Trace
 	if spec.WithTrace {
-		rec = trace.NewRecorder(numCores)
+		rec = trace.NewRecorder(m.NumCores())
 		st = obs.NewTrace(0)
 	}
 	if rec != nil {
@@ -527,7 +512,8 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ 
 	if spec.AdaptiveDVFS {
 		tuner := dvfs.NewTuner(eng, m.Ctl,
 			dvfs.Sensors{Retired: m.TotalRetired, Power: m.InstantPower},
-			p.TargetPower(env.nBig, env.nLit), p.VF, dvfs.DefaultTunerConfig(), rt.Running)
+			model.NConfig{Classes: env.classes}.TargetPower(), env.classes[0].Params.VF,
+			dvfs.DefaultTunerConfig(), rt.Running)
 		m.Ctl.SetTuner(tuner)
 		tuner.Start()
 	}
@@ -596,16 +582,4 @@ func MustRun(spec Spec) Result {
 			spec.Kernel, spec.System, spec.Variant, r.CheckErr))
 	}
 	return r
-}
-
-func coreClasses(nBig, nLit int) []power.CoreClass {
-	cls := make([]power.CoreClass, nBig+nLit)
-	for i := range cls {
-		if i < nBig {
-			cls[i] = power.Big
-		} else {
-			cls[i] = power.Little
-		}
-	}
-	return cls
 }

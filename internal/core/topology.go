@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"aaws/internal/kernels"
-	"aaws/internal/machine"
 	"aaws/internal/model"
 	"aaws/internal/power"
 )
@@ -19,8 +18,8 @@ import (
 // Zero values resolve to defaults: class 0 inherits the kernel's Table III
 // beta/alpha, the last class is the baseline little core (1/1), and
 // intermediate classes must be explicit. A 2-entry topology resolving to
-// exactly (beta, alpha)/(1, 1) collapses onto the legacy big.LITTLE path
-// and reproduces its results bit for bit.
+// exactly (beta, alpha)/(1, 1) resolves to the big.LITTLE preset's class
+// list and reproduces its results bit for bit.
 //
 // Every field carries omitempty so specs without a topology serialize to
 // the same canonical bytes — and therefore the same content hashes — as
@@ -39,31 +38,103 @@ const (
 	maxTopologyCores   = 64
 )
 
-// topology is a spec topology resolved against a kernel: defaults applied,
-// legacy collapse decided, per-class power parameters and the canonical
-// signature (the partition/LUT cache key component) computed.
-type topology struct {
-	legacy     bool
-	nBig, nLit int // legacy core mix (legacy == true)
-
-	counts []int
-	params []power.Params // per-class, class encoded as power.Big
-	sig    string
+// machineDesc is a spec's core mix resolved to the one machine description
+// everything below Spec is built from: the ordered class list (fastest
+// first) and its canonical signature, which pins every class's count, side
+// and alpha/beta and so keys LUT caching and batch partitioning.
+type machineDesc struct {
+	classes []model.NClass
+	sig     string
 }
 
-// resolveTopology applies defaults and validates spec.Topology against
-// kernel k. It must only be called with len(spec.Topology) > 0.
-func resolveTopology(topo []CoreClass, k *kernels.Kernel) (topology, error) {
-	if len(topo) > maxTopologyClasses {
-		return topology{}, fmt.Errorf("core: topology has %d classes (max %d)", len(topo), maxTopologyClasses)
+// resolveMachine resolves System, NBig/NLit or Topology into the class
+// list. The paper's mixes are the big and little side of the kernel's
+// Table III parameters. A topology resolving to exactly that pair, the
+// kernel's (beta, alpha)/(1, 1), yields the same class list and so shares
+// the preset's LUT and partition; every other topology class is the big
+// side of its own parameters.
+func resolveMachine(s Spec) (machineDesc, error) {
+	k := kernels.Get(s.Kernel)
+	if k == nil {
+		return machineDesc{}, fmt.Errorf("core: unknown kernel %q", s.Kernel)
 	}
-	var t topology
+	p := power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta)
+	pair := func(nBig, nLit int) []model.NClass {
+		return model.Config{Params: p, NBig: nBig, NLit: nLit}.NConfig().Classes
+	}
+	var classes []model.NClass
+	switch {
+	case len(s.Topology) > 0:
+		var err error
+		if classes, err = topologyClasses(s.Topology, k); err != nil {
+			return machineDesc{}, err
+		}
+		if len(classes) == 2 && classes[0].Params == p &&
+			classes[1].Params == power.DefaultParams().WithAlphaBeta(1, 1) {
+			classes = pair(classes[0].Count, classes[1].Count)
+		}
+	case s.NBig > 0:
+		classes = pair(s.NBig, s.NLit)
+	default:
+		classes = pair(s.System.Counts())
+	}
+	var buf [64]byte
+	sig := buf[:0]
+	for i, cl := range classes {
+		if i > 0 {
+			sig = append(sig, ',')
+		}
+		sig = strconv.AppendInt(sig, int64(cl.Count), 10)
+		sig = append(sig, 'x')
+		sig = strconv.AppendFloat(sig, cl.Params.Beta, 'g', -1, 64)
+		sig = append(sig, '/')
+		sig = strconv.AppendFloat(sig, cl.Params.Alpha, 'g', -1, 64)
+		if cl.Little {
+			sig = append(sig, 'L')
+		}
+	}
+	return machineDesc{classes: classes, sig: string(sig)}, nil
+}
+
+// numCores returns the machine's total core count.
+func (m machineDesc) numCores() int {
+	n := 0
+	for _, cl := range m.classes {
+		n += cl.Count
+	}
+	return n
+}
+
+// trackerClasses maps ranks onto the 2-class region tracker: the fastest
+// class plays "big", everything else "little".
+func (m machineDesc) trackerClasses() []power.CoreClass {
+	cls := make([]power.CoreClass, 0, m.numCores())
+	for rank, cl := range m.classes {
+		class := power.Little
+		if rank == 0 {
+			class = power.Big
+		}
+		for i := 0; i < cl.Count; i++ {
+			cls = append(cls, class)
+		}
+	}
+	return cls
+}
+
+// topologyClasses applies defaults to and validates a spec topology
+// against kernel k, returning one class per entry, each the big side of
+// its own parameters: IPC(Big) = speed, Alpha = power, and the leakage
+// current derived from the class's own nominal dynamic power (the same
+// lambda rule the paper applies to its big core).
+func topologyClasses(topo []CoreClass, k *kernels.Kernel) ([]model.NClass, error) {
+	if len(topo) > maxTopologyClasses {
+		return nil, fmt.Errorf("core: topology has %d classes (max %d)", len(topo), maxTopologyClasses)
+	}
 	total := 0
-	speeds := make([]float64, len(topo))
-	powers := make([]float64, len(topo))
+	classes := make([]model.NClass, len(topo))
 	for i, cl := range topo {
 		if cl.Count < 1 {
-			return topology{}, fmt.Errorf("core: topology class %d has count %d (need >= 1)", i, cl.Count)
+			return nil, fmt.Errorf("core: topology class %d has count %d (need >= 1)", i, cl.Count)
 		}
 		total += cl.Count
 		s, p := cl.Speed, cl.Power
@@ -84,100 +155,24 @@ func resolveTopology(topo []CoreClass, k *kernels.Kernel) (topology, error) {
 			}
 		default:
 			if s == 0 || p == 0 {
-				return topology{}, fmt.Errorf("core: topology class %d needs explicit speed and power (only the first and last class have defaults)", i)
+				return nil, fmt.Errorf("core: topology class %d needs explicit speed and power (only the first and last class have defaults)", i)
 			}
 		}
 		if s < 0 || p < 0 || math.IsInf(s, 0) || math.IsInf(p, 0) || math.IsNaN(s) || math.IsNaN(p) {
-			return topology{}, fmt.Errorf("core: topology class %d has invalid speed/power %g/%g", i, cl.Speed, cl.Power)
+			return nil, fmt.Errorf("core: topology class %d has invalid speed/power %g/%g", i, cl.Speed, cl.Power)
 		}
-		speeds[i], powers[i] = s, p
+		classes[i] = model.NClass{Count: cl.Count, Params: power.DefaultParams().WithAlphaBeta(p, s)}
 	}
 	if total > maxTopologyCores {
-		return topology{}, fmt.Errorf("core: topology has %d cores (max %d)", total, maxTopologyCores)
+		return nil, fmt.Errorf("core: topology has %d cores (max %d)", total, maxTopologyCores)
 	}
-	for i := 1; i < len(speeds); i++ {
-		if speeds[i] > speeds[i-1] {
-			return topology{}, fmt.Errorf("core: topology classes must be ordered fastest first (class %d speed %g > class %d speed %g)",
-				i, speeds[i], i-1, speeds[i-1])
+	for i := 1; i < len(classes); i++ {
+		if s, prev := classes[i].Params.Beta, classes[i-1].Params.Beta; s > prev {
+			return nil, fmt.Errorf("core: topology classes must be ordered fastest first (class %d speed %g > class %d speed %g)",
+				i, s, i-1, prev)
 		}
 	}
-
-	// A 2-entry topology resolving to exactly the kernel's big.LITTLE pair
-	// takes the legacy path wholesale: same machine, same LUT, same
-	// partition — bit-identical results by construction.
-	if len(topo) == 2 && speeds[0] == k.Beta && powers[0] == k.Alpha && speeds[1] == 1 && powers[1] == 1 {
-		t.legacy = true
-		t.nBig, t.nLit = topo[0].Count, topo[1].Count
-		return t, nil
-	}
-
-	t.counts = make([]int, len(topo))
-	t.params = make([]power.Params, len(topo))
-	var sig strings.Builder
-	for i := range topo {
-		t.counts[i] = topo[i].Count
-		// Each class becomes the power.Big side of its own parameter set:
-		// IPC(Big) = speed, Alpha = power, and the leakage current derives
-		// from the class's own nominal dynamic power (the same lambda rule
-		// the paper applies to its big core).
-		t.params[i] = power.DefaultParams().WithAlphaBeta(powers[i], speeds[i])
-		if i > 0 {
-			sig.WriteByte(',')
-		}
-		sig.WriteString(strconv.Itoa(topo[i].Count))
-		sig.WriteByte('x')
-		sig.WriteString(strconv.FormatFloat(speeds[i], 'g', -1, 64))
-		sig.WriteByte('/')
-		sig.WriteString(strconv.FormatFloat(powers[i], 'g', -1, 64))
-	}
-	t.sig = sig.String()
-	return t, nil
-}
-
-// numCores returns the topology's total core count.
-func (t topology) numCores() int {
-	if t.legacy {
-		return t.nBig + t.nLit
-	}
-	n := 0
-	for _, c := range t.counts {
-		n += c
-	}
-	return n
-}
-
-// machineClasses projects the topology onto machine.ClassConfig.
-func (t topology) machineClasses() []machine.ClassConfig {
-	out := make([]machine.ClassConfig, len(t.counts))
-	for i := range t.counts {
-		out[i] = machine.ClassConfig{Count: t.counts[i], Params: t.params[i]}
-	}
-	return out
-}
-
-// modelClasses projects the topology onto the N-way optimizer's config.
-func (t topology) modelClasses() model.NConfig {
-	cls := make([]model.NClass, len(t.counts))
-	for i := range t.counts {
-		cls[i] = model.NClass{Count: t.counts[i], Params: t.params[i]}
-	}
-	return model.NConfig{Classes: cls}
-}
-
-// trackerClasses maps ranks onto the 2-class region tracker: the fastest
-// class plays "big", everything else "little".
-func (t topology) trackerClasses() []power.CoreClass {
-	cls := make([]power.CoreClass, 0, t.numCores())
-	for rank, count := range t.counts {
-		class := power.Little
-		if rank == 0 {
-			class = power.Big
-		}
-		for i := 0; i < count; i++ {
-			cls = append(cls, class)
-		}
-	}
-	return cls
+	return classes, nil
 }
 
 // ParseTopology parses the CLI form of a topology: comma-separated classes
@@ -233,40 +228,4 @@ func FormatTopology(topo []CoreClass) string {
 		}
 	}
 	return b.String()
-}
-
-// cachedNWayLUT memoizes N-way lookup tables in the same LRU as the legacy
-// tables, keyed by the resolved topology signature (which pins every
-// parameter generation depends on) and the mode.
-func cachedNWayLUT(t topology, mode model.Mode) *model.LUT {
-	key := lutKey{topo: t.sig, mode: mode}
-	c := &lutCache
-	c.Lock()
-	if n, ok := c.m[key]; ok {
-		lutMoveToFront(n)
-		c.Unlock()
-		return n.lut
-	}
-	c.Unlock()
-	lut := model.GenerateNWayLUT(t.modelClasses(), mode)
-	c.Lock()
-	defer c.Unlock()
-	if n, ok := c.m[key]; ok {
-		lutMoveToFront(n)
-		return n.lut
-	}
-	n := &lutNode{key: key, lut: lut}
-	c.m[key] = n
-	lutMoveToFront(n)
-	if len(c.m) > c.max {
-		victim := c.tail
-		c.tail = victim.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
-		}
-		delete(c.m, victim.key)
-	}
-	return lut
 }

@@ -1,7 +1,6 @@
 package dvfs
 
 import (
-	"aaws/internal/model"
 	"aaws/internal/sim"
 	"aaws/internal/vf"
 )
@@ -52,18 +51,18 @@ func DefaultTunerConfig() TunerConfig {
 	}
 }
 
-// tuneEntry is the learned state for one (nBA, nLA) combination.
+// tuneEntry is the learned state for one activity combination (one LUT
+// table index).
 type tuneEntry struct {
-	dVB, dVL float64 // accepted offsets on top of the LUT entry
-	bestRate float64 // best observed throughput at the accepted offsets
-	trial    int     // -1: not trialing; 0..3: direction under trial
-	nextDir  int     // round-robin direction cursor
-	preB     float64 // offsets to restore on reject
-	preL     float64
+	off      []float64 // accepted per-class offsets on top of the LUT entry
+	pre      []float64 // offsets to restore on reject
+	bestRate float64   // best observed throughput at the accepted offsets
+	trial    int       // -1: not trialing; otherwise the direction under trial
+	nextDir  int       // round-robin direction cursor
 }
 
-// directions: (dVB, dVL) multipliers per trial index.
-var tunerDirs = [4][2]float64{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+// Trial directions run +class0, -class0, +class1, -class1, ...: direction
+// d moves class d/2's offset up (even d) or down (odd d) by one step.
 
 // Tuner adapts LUT entries online. Attach with Controller.SetTuner and
 // start with Start (which schedules the periodic tick; the tick re-arms
@@ -77,14 +76,15 @@ type Tuner struct {
 	vm      vf.Model
 	alive   func() bool
 
-	entries map[[2]int]*tuneEntry
+	entries map[int]*tuneEntry
+	adjBuf  []float64 // Adjust's result, reused across decisions
 
 	// tickFn is t.tick bound once so periodic re-arming does not allocate.
 	tickFn func()
 
 	lastRetired float64
 	lastTime    sim.Time
-	lastCombo   [2]int
+	lastCombo   int
 	comboStable bool
 
 	adjustments int // accepted trials (stat)
@@ -105,7 +105,8 @@ func NewTuner(eng *sim.Engine, ctl *Controller, sensors Sensors, target float64,
 		target:  target,
 		vm:      vm,
 		alive:   alive,
-		entries: map[[2]int]*tuneEntry{},
+		entries: map[int]*tuneEntry{},
+		adjBuf:  make([]float64, len(ctl.actBuf)),
 	}
 	t.tickFn = t.tick
 	return t
@@ -117,16 +118,19 @@ func (t *Tuner) Adjustments() int { return t.adjustments }
 // Trials returns the number of perturbations attempted.
 func (t *Tuner) Trials() int { return t.trials }
 
-// Adjust implements the controller hook: apply the learned offsets for this
-// activity combination, clamped to the feasible range.
-func (t *Tuner) Adjust(nBA, nLA int, e model.VPair) model.VPair {
-	s := t.entries[[2]int{nBA, nLA}]
+// Adjust implements the controller hook: apply the learned offsets for the
+// activity combination at table index idx to its entry e, clamped to the
+// feasible range. The result is valid until the next call; e is never
+// modified (it is shared table storage).
+func (t *Tuner) Adjust(idx int, e []float64) []float64 {
+	s := t.entries[idx]
 	if s == nil {
 		return e
 	}
-	e.VBig = t.vm.Clamp(e.VBig + s.dVB)
-	e.VLit = t.vm.Clamp(e.VLit + s.dVL)
-	return e
+	for k, v := range e {
+		t.adjBuf[k] = t.vm.Clamp(v + s.off[k])
+	}
+	return t.adjBuf
 }
 
 // Start arms the periodic tick.
@@ -153,11 +157,10 @@ func (t *Tuner) tick() {
 	t.lastRetired = retired
 	t.lastTime = now
 
-	nBA, nLA := t.ctl.counts()
-	combo := [2]int{nBA, nLA}
+	combo, total := t.ctl.activity()
 	stable := combo == t.lastCombo
 	t.lastCombo = combo
-	if !stable || t.ctl.Serial() || (nBA == 0 && nLA == 0) {
+	if !stable || t.ctl.Serial() || total == 0 {
 		// The measurement window straddled an activity change (or a serial
 		// region, which serial-sprinting already handles): discard it and,
 		// if a trial was in flight for the *previous* combo, keep its
@@ -176,7 +179,8 @@ func (t *Tuner) tick() {
 
 	s := t.entries[combo]
 	if s == nil {
-		s = &tuneEntry{trial: -1}
+		n := len(t.adjBuf)
+		s = &tuneEntry{off: make([]float64, n), pre: make([]float64, n), trial: -1}
 		t.entries[combo] = s
 		s.bestRate = rate
 		return
@@ -189,7 +193,7 @@ func (t *Tuner) tick() {
 			s.bestRate = rate
 			t.adjustments++
 		} else {
-			s.dVB, s.dVL = s.preB, s.preL
+			copy(s.off, s.pre)
 		}
 		s.trial = -1
 		t.ctl.Reevaluate()
@@ -204,12 +208,15 @@ func (t *Tuner) tick() {
 		// Forget stale bests slowly so the climber can re-explore.
 		s.bestRate *= 0.999
 	}
-	dir := tunerDirs[s.nextDir%4]
+	dir := s.nextDir % (2 * len(s.off))
 	s.nextDir++
-	s.preB, s.preL = s.dVB, s.dVL
-	s.dVB += dir[0] * t.cfg.Step
-	s.dVL += dir[1] * t.cfg.Step
-	s.trial = s.nextDir - 1
+	copy(s.pre, s.off)
+	if dir%2 == 0 {
+		s.off[dir/2] += t.cfg.Step
+	} else {
+		s.off[dir/2] -= t.cfg.Step
+	}
+	s.trial = dir
 	t.trials++
 	t.ctl.Reevaluate()
 }

@@ -32,16 +32,17 @@ func newTunedSystem(t *testing.T) (*sim.Engine, *Controller, *fakeSensors, *Tune
 }
 
 func TestTunerAdjustClamps(t *testing.T) {
-	_, _, _, tuner := newTunedSystem(t)
-	tuner.entries[[2]int{4, 4}] = &tuneEntry{dVB: -10, dVL: +10, trial: -1}
-	e := tuner.Adjust(4, 4, model.VPair{VBig: 1.0, VLit: 1.0})
-	if e.VBig != vf.VMin || e.VLit != vf.VMax {
-		t.Errorf("Adjust did not clamp: %+v", e)
+	_, ctl, _, tuner := newTunedSystem(t)
+	idx44 := ctl.LUT().Table.Index([]int{4, 4})
+	tuner.entries[idx44] = &tuneEntry{off: []float64{-10, +10}, trial: -1}
+	e := tuner.Adjust(idx44, []float64{1.0, 1.0})
+	if e[0] != vf.VMin || e[1] != vf.VMax {
+		t.Errorf("Adjust did not clamp: %v", e)
 	}
 	// Unknown combos pass through untouched.
-	e = tuner.Adjust(1, 2, model.VPair{VBig: 0.93, VLit: 1.21})
-	if e.VBig != 0.93 || e.VLit != 1.21 {
-		t.Errorf("Adjust modified unknown combo: %+v", e)
+	e = tuner.Adjust(ctl.LUT().Table.Index([]int{1, 2}), []float64{0.93, 1.21})
+	if e[0] != 0.93 || e[1] != 1.21 {
+		t.Errorf("Adjust modified unknown combo: %v", e)
 	}
 }
 
@@ -54,10 +55,11 @@ func TestTunerClimbsWhenRewarded(t *testing.T) {
 
 	// Throughput improves as the big voltage drops below nominal (the
 	// scripted "true" optimum disagrees with the LUT).
+	idx44 := ctl.LUT().Table.Index([]int{4, 4})
 	step := func() {
-		e := tuner.Adjust(4, 4, ctl.LUT().Lookup(4, 4))
+		e := tuner.Adjust(idx44, ctl.LUT().Table.Entries[idx44])
 		// reward: rate proportional to (1.4 - VBig): lower VBig is better.
-		ratePerSec := (1.4 - e.VBig) * 1e9
+		ratePerSec := (1.4 - e[0]) * 1e9
 		fs.retired += ratePerSec * sim.Microsecond.Seconds()
 	}
 	// Drive the simulation manually: advance in 1us ticks, feeding the
@@ -72,9 +74,9 @@ func TestTunerClimbsWhenRewarded(t *testing.T) {
 	if tuner.Adjustments() == 0 {
 		t.Fatal("tuner never accepted an adjustment despite scripted reward")
 	}
-	s := tuner.entries[[2]int{4, 4}]
-	if s == nil || s.dVB >= 0 {
-		t.Errorf("tuner did not lower the big voltage (dVB=%v)", s)
+	s := tuner.entries[idx44]
+	if s == nil || s.off[0] >= 0 {
+		t.Errorf("tuner did not lower the big voltage (entry %+v)", s)
 	}
 }
 

@@ -2,34 +2,33 @@
 // Section III-A / IV-D.
 //
 // The runtime toggles per-core activity bits with lightweight hint
-// instructions; the controller maps (#active big, #active little) through a
-// lookup table generated offline by the marginal-utility model and commands
-// the per-core integrated regulators. Per the paper, cores keep executing
-// through transitions at the lower frequency, and the controller makes no
-// new decision until the previous transition has fully settled.
+// instructions; the controller maps the per-class active-core counts
+// through a lookup table generated offline by the marginal-utility model
+// and commands the per-core integrated regulators. Per the paper, cores
+// keep executing through transitions at the lower frequency, and the
+// controller makes no new decision until the previous transition has fully
+// settled.
 package dvfs
 
 import (
 	"aaws/internal/model"
-	"aaws/internal/power"
 	"aaws/internal/sim"
 	"aaws/internal/vr"
 )
 
 // Controller is the global DVFS controller.
 type Controller struct {
-	eng     *sim.Engine
-	lut     *model.LUT
-	regs    []*vr.Regulator
-	classes []power.CoreClass
+	eng  *sim.Engine
+	lut  *model.LUT
+	regs []*vr.Regulator
 
 	active  []bool // activity bits as toggled by hint instructions
 	serial  bool   // serial-region bit
 	serCore int    // core executing the serial region
 
-	// ranks maps core id to its class rank when the LUT carries an N-way
-	// table (nil on legacy 2-class machines); actBuf is the reusable
-	// per-class activity vector for N-way lookups.
+	// ranks maps core id to its class rank, which indexes the table's
+	// per-class voltage vectors; actBuf is the reusable per-class activity
+	// vector.
 	ranks  []int
 	actBuf []int
 
@@ -49,13 +48,12 @@ type Controller struct {
 
 	// tuner, when set, adjusts LUT entries online using performance and
 	// power counters (the paper's future-work adaptive controller).
-	tuner interface {
-		Adjust(nBA, nLA int, e model.VPair) model.VPair
-	}
+	tuner *Tuner
 
 	// OnDecision, when non-nil, observes every committed controller
-	// decision with the active-core counts that drove the LUT lookup. It
-	// must not mutate controller or simulation state.
+	// decision with the active-core counts that drove the LUT lookup:
+	// nBA in the fastest class, nLA in all others. It must not mutate
+	// controller or simulation state.
 	OnDecision func(nBA, nLA int)
 
 	// Stats.
@@ -73,20 +71,21 @@ const deadlineMargin = 4
 
 const deadlineFloor = sim.Microsecond
 
-// New returns a controller for the given cores. classes[i] and regs[i]
-// describe core i. Cores start flagged active (they boot into the parallel
-// runtime holding work or probing for it; the runtime corrects the bits
-// immediately).
-func New(eng *sim.Engine, lut *model.LUT, classes []power.CoreClass, regs []*vr.Regulator) *Controller {
+// New returns a controller for the given cores. ranks[i] (the index of
+// core i's class in the LUT's class list) and regs[i] describe core i.
+// Cores start flagged active (they boot into the parallel runtime holding
+// work or probing for it; the runtime corrects the bits immediately).
+func New(eng *sim.Engine, lut *model.LUT, ranks []int, regs []*vr.Regulator) *Controller {
 	c := &Controller{
 		eng:         eng,
 		lut:         lut,
 		regs:        regs,
-		classes:     classes,
-		active:      make([]bool, len(classes)),
-		offline:     make([]bool, len(classes)),
-		deadlineEv:  make([]sim.Event, len(classes)),
-		deadlineFns: make([]func(), len(classes)),
+		ranks:       ranks,
+		actBuf:      make([]int, len(lut.Table.Counts)),
+		active:      make([]bool, len(ranks)),
+		offline:     make([]bool, len(ranks)),
+		deadlineEv:  make([]sim.Event, len(ranks)),
+		deadlineFns: make([]func(), len(ranks)),
 		serCore:     -1,
 	}
 	for i := range c.active {
@@ -102,14 +101,6 @@ func New(eng *sim.Engine, lut *model.LUT, classes []power.CoreClass, regs []*vr.
 
 // LUT returns the controller's lookup table.
 func (c *Controller) LUT() *model.LUT { return c.lut }
-
-// ConfigureNWay switches the controller onto the LUT's N-way table:
-// ranks[i] is core i's class rank, indexing the per-class voltage vectors.
-// Must be called before the first decision on an N-way machine.
-func (c *Controller) ConfigureNWay(ranks []int) {
-	c.ranks = ranks
-	c.actBuf = make([]int, len(c.lut.NWay.Counts))
-}
 
 // ActivityBit returns core id's activity bit as last toggled by a hint.
 func (c *Controller) ActivityBit(id int) bool { return c.active[id] }
@@ -164,102 +155,45 @@ func (c *Controller) SetSerial(id int, on bool) {
 	c.evaluate()
 }
 
-// counts returns the number of active big and little cores per the bits.
-func (c *Controller) counts() (nBA, nLA int) {
-	for i, a := range c.active {
-		if !a {
-			continue
-		}
-		if c.classes[i] == power.Big {
-			nBA++
-		} else {
-			nLA++
-		}
-	}
-	return
-}
-
-// targetFor computes the commanded voltage for core id under the current
-// bits.
-func (c *Controller) targetFor(id int, e model.VPair, restV float64) float64 {
-	if c.serial && c.lut.SerialSprint {
-		if id == c.serCore {
-			return c.lut.SerialV
-		}
-		return restV
-	}
-	if !c.active[id] {
-		return restV
-	}
-	if c.classes[id] == power.Big {
-		return e.VBig
-	}
-	return e.VLit
-}
-
-// evaluate recomputes regulator targets. If a transition is still settling
-// the evaluation is deferred until it completes (Section IV-D: "new
-// decisions cannot be made until the previous transition completes").
-func (c *Controller) evaluate() {
-	if c.inFlight > 0 {
-		c.pendingEval = true
-		return
-	}
-	c.decisions++
-	if c.lut.NWay != nil && c.ranks != nil {
-		c.evaluateNWay()
-		return
-	}
-	nBA, nLA := c.counts()
-	if c.OnDecision != nil {
-		c.OnDecision(nBA, nLA)
-	}
-	e := c.lut.Lookup(nBA, nLA)
-	if c.tuner != nil {
-		e = c.tuner.Adjust(nBA, nLA, e)
-	}
-	restV := c.lut.VRest
-	for i, r := range c.regs {
-		if c.offline[i] {
-			continue
-		}
-		t := c.targetFor(i, e, restV)
-		if t != r.Target() {
-			c.transitions++
-			c.inFlight++
-			c.command(i, t)
-		}
-	}
-}
-
-// evaluateNWay is the N-way decision body: the activity bits roll up into
-// a per-class activity vector, the NWay table supplies per-class voltages,
-// and each core is commanded by its rank. Serial-sprinting and rest
-// semantics match the legacy path. The online tuner is legacy-only
-// (core.Validate rejects adaptive DVFS on N-way topologies).
-func (c *Controller) evaluateNWay() {
+// activity rolls the activity bits up into the per-class activity vector
+// (left in actBuf) and returns its table index and the total active count.
+func (c *Controller) activity() (idx, total int) {
 	for k := range c.actBuf {
 		c.actBuf[k] = 0
 	}
-	total := 0
 	for i, a := range c.active {
 		if a {
 			c.actBuf[c.ranks[i]]++
 			total++
 		}
 	}
+	return c.lut.Table.Index(c.actBuf), total
+}
+
+// evaluate recomputes regulator targets. If a transition is still settling
+// the evaluation is deferred until it completes (Section IV-D: "new
+// decisions cannot be made until the previous transition completes").
+// Each core is commanded by its class rank from the table entry for the
+// current activity vector.
+func (c *Controller) evaluate() {
+	if c.inFlight > 0 {
+		c.pendingEval = true
+		return
+	}
+	c.decisions++
+	idx, total := c.activity()
 	if c.OnDecision != nil {
-		// The legacy observer signature approximates the split as
-		// (rank-0 active, everything-else active).
 		c.OnDecision(c.actBuf[0], total-c.actBuf[0])
 	}
-	entry := c.lut.NWay.Lookup(c.actBuf)
-	restV := c.lut.VRest
+	entry := c.lut.Table.Entries[idx]
+	if c.tuner != nil {
+		entry = c.tuner.Adjust(idx, entry)
+	}
 	for i, r := range c.regs {
 		if c.offline[i] {
 			continue
 		}
-		t := c.targetForNWay(i, entry, restV)
+		t := c.targetFor(i, entry)
 		if t != r.Target() {
 			c.transitions++
 			c.inFlight++
@@ -268,17 +202,17 @@ func (c *Controller) evaluateNWay() {
 	}
 }
 
-// targetForNWay computes the commanded voltage for core id from an N-way
-// table entry.
-func (c *Controller) targetForNWay(id int, entry []float64, restV float64) float64 {
+// targetFor computes the commanded voltage for core id from a table entry
+// under the current bits.
+func (c *Controller) targetFor(id int, entry []float64) float64 {
 	if c.serial && c.lut.SerialSprint {
 		if id == c.serCore {
 			return c.lut.SerialV
 		}
-		return restV
+		return c.lut.VRest
 	}
 	if !c.active[id] {
-		return restV
+		return c.lut.VRest
 	}
 	return entry[c.ranks[id]]
 }
@@ -317,11 +251,7 @@ func (c *Controller) onDeadline(i int) {
 }
 
 // SetTuner installs an online LUT tuner (see adaptive.go).
-func (c *Controller) SetTuner(t interface {
-	Adjust(nBA, nLA int, e model.VPair) model.VPair
-}) {
-	c.tuner = t
-}
+func (c *Controller) SetTuner(t *Tuner) { c.tuner = t }
 
 // Reevaluate re-runs the decision with the current bits (used by the tuner
 // after changing its offsets). Deferred like any decision if a transition

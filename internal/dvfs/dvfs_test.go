@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"aaws/internal/model"
-	"aaws/internal/power"
 	"aaws/internal/sim"
 	"aaws/internal/vf"
 	"aaws/internal/vr"
@@ -15,17 +14,15 @@ func newSystem(t *testing.T, mode model.Mode) (*sim.Engine, *Controller, []*vr.R
 	cfg := model.DefaultConfig() // 4B4L
 	lut := model.GenerateLUT(cfg, mode)
 	eng := sim.NewEngine()
-	classes := make([]power.CoreClass, 8)
+	ranks := make([]int, 8)
 	regs := make([]*vr.Regulator, 8)
 	for i := 0; i < 8; i++ {
-		if i < 4 {
-			classes[i] = power.Big
-		} else {
-			classes[i] = power.Little
+		if i >= 4 {
+			ranks[i] = 1 // little
 		}
 		regs[i] = vr.New(eng, vf.VNominal)
 	}
-	return eng, New(eng, lut, classes, regs), regs
+	return eng, New(eng, lut, ranks, regs), regs
 }
 
 func TestNominalControllerNeverMoves(t *testing.T) {

@@ -78,8 +78,9 @@ func TestConfigValidate(t *testing.T) {
 func new4B4L(t *testing.T) *machine.Machine {
 	t.Helper()
 	p := power.DefaultParams()
-	lut := model.GenerateLUT(model.Config{Params: p, NBig: 4, NLit: 4}, model.ModeNominal)
-	m, err := machine.New(sim.NewEngine(), machine.Config4B4L(p, lut))
+	cfg := model.Config{Params: p, NBig: 4, NLit: 4}
+	lut := model.GenerateLUT(cfg, model.ModeNominal)
+	m, err := machine.New(sim.NewEngine(), machine.Config{Classes: cfg.NConfig().Classes, LUT: lut, InterruptCycles: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -622,13 +622,9 @@ func (s *Server) getTraceSVG(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nBig, nLit := snap.Spec.System.Counts()
-	if snap.Spec.NBig > 0 {
-		nBig, nLit = snap.Spec.NBig, snap.Spec.NLit
-	}
 	marks := schedMarks(s.ex, snap.ID)
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := rec.WriteSVGWithMarks(w, trace.CoreNames(nBig, nLit), 1600, marks); err != nil {
+	if err := rec.WriteSVGWithMarks(w, core.CoreLabels(snap.Spec), 1600, marks); err != nil {
 		// Headers are gone; all we can do is stop streaming.
 		return
 	}
@@ -665,12 +661,8 @@ func (s *Server) getTraceCSV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nBig, nLit := snap.Spec.System.Counts()
-	if snap.Spec.NBig > 0 {
-		nBig, nLit = snap.Spec.NBig, snap.Spec.NLit
-	}
 	w.Header().Set("Content-Type", "text/csv")
-	_ = rec.WriteCSV(w, trace.CoreNames(nBig, nLit), 200)
+	_ = rec.WriteCSV(w, core.CoreLabels(snap.Spec), 200)
 }
 
 // metrics renders the unified registry: the executor's live instruments

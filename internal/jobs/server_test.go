@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +336,54 @@ func TestServerTraceEndpoints(t *testing.T) {
 		// Only acceptable if this job simulated fresh (not served from cache).
 		if hit, _ := st2["cache_hit"].(bool); hit {
 			t.Fatal("cache-hit job served a trace it never recorded")
+		}
+	}
+}
+
+// TestServerTraceCSVLabelsFollowMachine: trace.csv labels every core from
+// the job's resolved class list — B0…/L0… on the paper's 4B4L machine, one
+// distinct C<class>.<i> label per core on a 3-way topology (whose core
+// count and classes differ from the System default it leaves unset).
+func TestServerTraceCSVLabelsFollowMachine(t *testing.T) {
+	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
+	cases := []struct {
+		body string
+		want []string
+	}{
+		{`{"kernel":"cilksort","scale":0.1,"with_trace":true,"no_cache":true}`,
+			[]string{"B0", "B1", "B2", "B3", "L0", "L1", "L2", "L3"}},
+		{`{"kernel":"cilksort","scale":0.1,"with_trace":true,"no_cache":true,` +
+			`"topology":[{"Count":1,"Speed":4,"Power":3},{"Count":2,"Speed":2,"Power":1.8},{"Count":6}]}`,
+			[]string{"C0.0", "C1.0", "C1.1", "C2.0", "C2.1", "C2.2", "C2.3", "C2.4", "C2.5"}},
+	}
+	for _, tc := range cases {
+		code, st := postJSON(t, ts.URL+"/v1/jobs", tc.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit status = %d (%v)", code, st)
+		}
+		id := st["id"].(string)
+		if st := awaitJob(t, ts.URL, id); st["state"] != "done" {
+			t.Fatalf("traced job: %v", st)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace.csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		csv, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace.csv status %d", resp.StatusCode)
+		}
+		// Rows are core,name,...; collect each core's label in core order.
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(string(csv)), "\n")[1:] {
+			f := strings.Split(line, ",")
+			if core, _ := strconv.Atoi(f[0]); core == len(got) {
+				got = append(got, f[1])
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("trace.csv core labels = %v, want %v", got, tc.want)
 		}
 	}
 }

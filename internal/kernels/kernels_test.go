@@ -22,10 +22,11 @@ func runKernel(t testing.TB, k *Kernel, v wsrt.Variant, nBig, nLit int, scale fl
 func runWorkload(t testing.TB, k *Kernel, w Workload, v wsrt.Variant, nBig, nLit int) wsrt.Report {
 	t.Helper()
 	p := power.DefaultParams().WithAlphaBeta(k.Alpha, k.Beta)
-	lut := model.GenerateLUT(model.Config{Params: p, NBig: nBig, NLit: nLit}, v.LUTMode())
+	cfg := model.Config{Params: p, NBig: nBig, NLit: nLit}
+	lut := model.GenerateLUT(cfg, v.LUTMode())
 	eng := sim.NewEngine()
 	m, err := machine.New(eng, machine.Config{
-		BigCores: nBig, LittleCores: nLit, Params: p, LUT: lut, InterruptCycles: 20,
+		Classes: cfg.NConfig().Classes, LUT: lut, InterruptCycles: 20,
 	})
 	if err != nil {
 		t.Fatal(err)

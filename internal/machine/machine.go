@@ -23,15 +23,14 @@ import (
 
 // Config describes a machine instance.
 type Config struct {
-	// BigCores and LittleCores are the static core mix. Cores are numbered
-	// with big cores first, so core 0 is always big (the runtime pins
-	// logical thread 0 there; see Section III-B on keeping the sequential
-	// region on a big core).
-	BigCores    int
-	LittleCores int
-	// Params is the energy/performance model (per-kernel alpha/beta).
-	Params power.Params
-	// LUT is the DVFS lookup table implementing the runtime variant.
+	// Classes is the static core mix, fastest class first. Cores are laid
+	// out class by class, so core 0 is in class 0 (the runtime pins logical
+	// thread 0 there; see Section III-B on keeping the sequential region on
+	// a big core). Each class's cores run its Params read from its Side();
+	// model.Config.NConfig gives the paper's big.LITTLE pair.
+	Classes []model.NClass
+	// LUT is the DVFS lookup table implementing the runtime variant; its
+	// table must be generated for the same class counts.
 	LUT *model.LUT
 	// InterruptCycles is the one-way user-level interrupt latency in
 	// nominal-frequency cycles (paper: ~an L2 access, 20 cycles).
@@ -44,78 +43,31 @@ type Config struct {
 	// latency (0 = the paper's 40 ns). Section IV-D's sensitivity study
 	// sweeps this to 250 ns.
 	TransitionNsPerStep float64
-	// Classes, when non-empty, selects the N-way topology path instead of
-	// the 2-class BigCores/LittleCores mix: cores are laid out class by
-	// class in rank order (rank 0 = fastest, hosting logical thread 0), and
-	// each class carries its own power parameters encoded as the power.Big
-	// side of its Params. The LUT must carry a matching NWay table.
-	Classes []ClassConfig
-}
-
-// ClassConfig is one core class of an N-way machine.
-type ClassConfig struct {
-	Count int
-	// Params encodes the class as power.Big of its own parameter set:
-	// IPC(Big) = class speed, Alpha = class dynamic-power coefficient.
-	Params power.Params
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if len(c.Classes) > 0 {
-		if c.BigCores != 0 || c.LittleCores != 0 {
-			return fmt.Errorf("machine: Classes and BigCores/LittleCores are mutually exclusive")
-		}
-		if c.Classes[0].Count < 1 {
-			return fmt.Errorf("machine: class 0 needs at least one core (logical thread 0 lives there)")
-		}
-		for i, cl := range c.Classes {
-			if cl.Count < 1 {
-				return fmt.Errorf("machine: class %d has count %d (need >= 1)", i, cl.Count)
-			}
-		}
-		if c.LUT == nil {
-			return fmt.Errorf("machine: nil DVFS LUT")
-		}
-		if c.LUT.NWay == nil {
-			return fmt.Errorf("machine: N-way machine needs a LUT with an NWay table")
-		}
-		if len(c.LUT.NWay.Counts) != len(c.Classes) {
-			return fmt.Errorf("machine: LUT has %d classes but machine has %d",
-				len(c.LUT.NWay.Counts), len(c.Classes))
-		}
-		for i, cl := range c.Classes {
-			if c.LUT.NWay.Counts[i] != cl.Count {
-				return fmt.Errorf("machine: LUT class %d count %d but machine has %d",
-					i, c.LUT.NWay.Counts[i], cl.Count)
-			}
-		}
-		return nil
+	if len(c.Classes) == 0 || c.Classes[0].Count < 1 {
+		return fmt.Errorf("machine: class 0 needs at least one core (logical thread 0 lives there)")
 	}
-	if c.BigCores < 1 {
-		return fmt.Errorf("machine: need at least one big core (logical thread 0 lives there), got %d", c.BigCores)
-	}
-	if c.LittleCores < 0 {
-		return fmt.Errorf("machine: negative little core count %d", c.LittleCores)
+	for i, cl := range c.Classes {
+		if cl.Count < 0 {
+			return fmt.Errorf("machine: class %d has negative count %d", i, cl.Count)
+		}
 	}
 	if c.LUT == nil {
 		return fmt.Errorf("machine: nil DVFS LUT")
 	}
-	if c.LUT.NBig != c.BigCores || c.LUT.NLit != c.LittleCores {
-		return fmt.Errorf("machine: LUT is %dB%dL but machine is %dB%dL",
-			c.LUT.NBig, c.LUT.NLit, c.BigCores, c.LittleCores)
+	counts := c.LUT.Table.Counts
+	if len(counts) != len(c.Classes) {
+		return fmt.Errorf("machine: LUT has %d classes but machine has %d", len(counts), len(c.Classes))
+	}
+	for i, cl := range c.Classes {
+		if counts[i] != cl.Count {
+			return fmt.Errorf("machine: LUT class %d count %d but machine has %d", i, counts[i], cl.Count)
+		}
 	}
 	return nil
-}
-
-// Config4B4L returns the paper's four-big/four-little system.
-func Config4B4L(p power.Params, lut *model.LUT) Config {
-	return Config{BigCores: 4, LittleCores: 4, Params: p, LUT: lut, InterruptCycles: 20}
-}
-
-// Config1B7L returns the paper's one-big/seven-little system.
-func Config1B7L(p power.Params, lut *model.LUT) Config {
-	return Config{BigCores: 1, LittleCores: 7, Params: p, LUT: lut, InterruptCycles: 20}
 }
 
 // StateSink observes true core scheduling-state changes (for region
@@ -137,13 +89,10 @@ type Machine struct {
 	states []power.CoreState
 	failed []bool
 	parked []bool
-	// ranks maps core id to its class rank (0 = fastest). On a legacy
-	// 2-class machine big cores are rank 0 and little cores rank 1.
+	// ranks maps core id to its class rank (0 = fastest).
 	ranks []int
-	// accParams/accClass are the per-core power parameters and class used
-	// for instantaneous power. On a legacy machine every core shares
-	// Cfg.Params with its own class; on an N-way machine each core carries
-	// its class's Params with the class encoded as power.Big.
+	// accParams/accClass are each core's class Params and side, used for
+	// instantaneous power.
 	accParams []power.Params
 	accClass  []power.CoreClass
 
@@ -166,13 +115,9 @@ func New(eng *sim.Engine, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nway := len(cfg.Classes) > 0
-	n := cfg.BigCores + cfg.LittleCores
-	if nway {
-		n = 0
-		for _, cl := range cfg.Classes {
-			n += cl.Count
-		}
+	n := 0
+	for _, cl := range cfg.Classes {
+		n += cl.Count
 	}
 	m := &Machine{
 		Eng:       eng,
@@ -183,44 +128,15 @@ func New(eng *sim.Engine, cfg Config) (*Machine, error) {
 		states:    make([]power.CoreState, n),
 		failed:    make([]bool, n),
 		parked:    make([]bool, n),
-		ranks:     make([]int, n),
-		accParams: make([]power.Params, n),
-		accClass:  make([]power.CoreClass, n),
+		ranks:     make([]int, 0, n),
+		accParams: make([]power.Params, 0, n),
+		accClass:  make([]power.CoreClass, 0, n),
 	}
-	// Per-core construction inputs. Legacy machines keep the exact seed
-	// layout (big cores first, shared Params); N-way machines lay cores out
-	// class by class in rank order, each class encoded as the power.Big
-	// side of its own Params so the cpu/accountant math is unchanged.
-	classes := make([]power.CoreClass, n)
-	if nway {
-		id := 0
-		for rank, cl := range cfg.Classes {
-			for k := 0; k < cl.Count; k++ {
-				m.ranks[id] = rank
-				m.accParams[id] = cl.Params
-				m.accClass[id] = power.Big
-				// The DVFS controller's legacy class split only feeds its
-				// (nBig, nLit) activity counting, which the NWay path
-				// replaces; map rank 0 to Big so diagnostics stay sane.
-				classes[id] = power.Little
-				if rank == 0 {
-					classes[id] = power.Big
-				}
-				id++
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			class := power.Little
-			rank := 1
-			if i < cfg.BigCores {
-				class = power.Big
-				rank = 0
-			}
-			classes[i] = class
-			m.ranks[i] = rank
-			m.accParams[i] = cfg.Params
-			m.accClass[i] = class
+	for rank, cl := range cfg.Classes {
+		for k := 0; k < cl.Count; k++ {
+			m.ranks = append(m.ranks, rank)
+			m.accParams = append(m.accParams, cl.Params)
+			m.accClass = append(m.accClass, cl.Side())
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -228,15 +144,9 @@ func New(eng *sim.Engine, cfg Config) (*Machine, error) {
 		if cfg.TransitionNsPerStep > 0 {
 			reg.SetStepLatencyNs(cfg.TransitionNsPerStep)
 		}
-		cpuClass := classes[i]
-		params := cfg.Params
-		if nway {
-			cpuClass = power.Big
-			params = m.accParams[i]
-		}
-		core := cpu.New(eng, i, cpuClass, params, reg)
+		core := cpu.New(eng, i, m.accClass[i], m.accParams[i], reg)
 		core.SetMemStallPs(cfg.MemStallPsPerInstr)
-		acct := power.NewAccountant(params, m.accClass[i], eng.Now())
+		acct := power.NewAccountant(m.accParams[i], m.accClass[i], eng.Now())
 		i := i
 		reg.OnChange = func() {
 			core.Retime()
@@ -252,32 +162,20 @@ func New(eng *sim.Engine, cfg Config) (*Machine, error) {
 	}
 	intLat := sim.Time(float64(cfg.InterruptCycles) / vf.FNominal * float64(sim.Second))
 	m.Net = icn.New(eng, n, intLat)
-	m.Ctl = dvfs.New(eng, cfg.LUT, classes, m.Regs)
-	if nway {
-		m.Ctl.ConfigureNWay(m.ranks)
-	}
+	m.Ctl = dvfs.New(eng, cfg.LUT, m.ranks, m.Regs)
 	return m, nil
 }
 
 // NumCores returns the total core count.
 func (m *Machine) NumCores() int { return len(m.Cores) }
 
-// Class returns the class of core id. On an N-way machine every core
-// reports power.Big (each class is the Big side of its own Params); use
-// Rank for scheduling decisions.
+// Class returns the side of its class's Params that core id runs: Big or
+// Little on the paper's pair, Big for every topology class. Use Rank for
+// scheduling decisions.
 func (m *Machine) Class(id int) power.CoreClass { return m.Cores[id].Class }
 
-// Rank returns core id's class rank: 0 is the fastest class. On a legacy
-// 2-class machine big cores are rank 0 and little cores rank 1.
+// Rank returns core id's class rank: 0 is the fastest class.
 func (m *Machine) Rank(id int) int { return m.ranks[id] }
-
-// NumClasses returns the number of core classes (2 for a legacy machine).
-func (m *Machine) NumClasses() int {
-	if len(m.Cfg.Classes) > 0 {
-		return len(m.Cfg.Classes)
-	}
-	return 2
-}
 
 // SetParked marks core id as parked on the elastic semaphore (or unparks
 // it). A parked core draws rest power regardless of controller state — the

@@ -11,9 +11,10 @@ import (
 func new4B4L(t *testing.T, mode model.Mode) (*sim.Engine, *Machine) {
 	t.Helper()
 	p := power.DefaultParams()
-	lut := model.GenerateLUT(model.Config{Params: p, NBig: 4, NLit: 4}, mode)
+	cfg := model.Config{Params: p, NBig: 4, NLit: 4}
+	lut := model.GenerateLUT(cfg, mode)
 	eng := sim.NewEngine()
-	m, err := New(eng, Config4B4L(p, lut))
+	m, err := New(eng, Config{Classes: cfg.NConfig().Classes, LUT: lut, InterruptCycles: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +42,16 @@ func TestValidation(t *testing.T) {
 	p := power.DefaultParams()
 	lut := model.GenerateLUT(model.Config{Params: p, NBig: 4, NLit: 4}, model.ModeNominal)
 	eng := sim.NewEngine()
-	if _, err := New(eng, Config{BigCores: 0, LittleCores: 8, Params: p, LUT: lut}); err == nil {
+	mix := func(nBig, nLit int) []model.NClass {
+		return model.Config{Params: p, NBig: nBig, NLit: nLit}.NConfig().Classes
+	}
+	if _, err := New(eng, Config{Classes: mix(0, 8), LUT: lut}); err == nil {
 		t.Error("accepted a machine with no big core")
 	}
-	if _, err := New(eng, Config{BigCores: 2, LittleCores: 6, Params: p, LUT: lut}); err == nil {
+	if _, err := New(eng, Config{Classes: mix(2, 6), LUT: lut}); err == nil {
 		t.Error("accepted a LUT/machine shape mismatch")
 	}
-	if _, err := New(eng, Config{BigCores: 4, LittleCores: 4, Params: p}); err == nil {
+	if _, err := New(eng, Config{Classes: mix(4, 4)}); err == nil {
 		t.Error("accepted nil LUT")
 	}
 }

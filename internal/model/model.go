@@ -11,7 +11,9 @@
 // bracketed golden-section search maximizes throughput over the big voltage.
 //
 // The same machinery generates the lookup tables used by the DVFS
-// controller (Section III-A): one entry per (#active big, #active little).
+// controller (Section III-A): one per-class voltage vector per activity
+// vector (#active cores of each class). OptimizeN extends the optimization
+// from the paper's big.LITTLE pair to any ordered class list.
 package model
 
 import (

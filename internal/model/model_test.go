@@ -198,41 +198,42 @@ func TestParetoContainsWinWin(t *testing.T) {
 // TestLUTGeneration sanity-checks table shapes and entries per mode.
 func TestLUTGeneration(t *testing.T) {
 	cfg := DefaultConfig()
+	at := func(l *LUT, nBA, nLA int) []float64 { return l.Table.Lookup([]int{nBA, nLA}) }
 
 	base := GenerateLUT(cfg, ModeNominal)
-	if len(base.Entries) != 5 || len(base.Entries[0]) != 5 {
-		t.Fatalf("4B4L LUT should be 5x5, got %dx%d", len(base.Entries), len(base.Entries[0]))
+	if got := base.Table.Counts; len(got) != 2 || got[0] != 4 || got[1] != 4 || len(base.Table.Entries) != 25 {
+		t.Fatalf("4B4L LUT should be 5x5, got counts %v with %d entries", got, len(base.Table.Entries))
 	}
 	for i := 0; i <= 4; i++ {
 		for j := 0; j <= 4; j++ {
-			e := base.Entries[i][j]
-			if e.VBig != vf.VNominal || e.VLit != vf.VNominal {
-				t.Errorf("nominal LUT entry [%d][%d] = %+v, want nominal", i, j, e)
+			e := at(base, i, j)
+			if e[0] != vf.VNominal || e[1] != vf.VNominal {
+				t.Errorf("nominal LUT entry [%d][%d] = %v, want nominal", i, j, e)
 			}
 		}
 	}
 
 	pace := GenerateLUT(cfg, ModePacing)
-	allActive := pace.Entries[4][4]
-	if !(allActive.VBig < vf.VNominal && allActive.VLit > vf.VNominal) {
-		t.Errorf("pacing all-active entry = %+v, want VBig<1<VLit", allActive)
+	allActive := at(pace, 4, 4)
+	if !(allActive[0] < vf.VNominal && allActive[1] > vf.VNominal) {
+		t.Errorf("pacing all-active entry = %v, want VBig<1<VLit", allActive)
 	}
-	if pace.Entries[2][2] != (VPair{vf.VNominal, vf.VNominal}) {
-		t.Errorf("pacing partial-activity entry should stay nominal, got %+v", pace.Entries[2][2])
+	if e := at(pace, 2, 2); e[0] != vf.VNominal || e[1] != vf.VNominal {
+		t.Errorf("pacing partial-activity entry should stay nominal, got %v", e)
 	}
 
 	ps := GenerateLUT(cfg, ModePacingSprinting)
 	// With fewer active cores there is more slack, so the little voltage
 	// should not decrease as activity drops (until it hits VMax).
-	if ps.Entries[2][2].VLit < ps.Entries[4][4].VLit-1e-9 {
+	if at(ps, 2, 2)[1] < at(ps, 4, 4)[1]-1e-9 {
 		t.Errorf("sprinting 2B2L little voltage %.3f below all-active %.3f",
-			ps.Entries[2][2].VLit, ps.Entries[4][4].VLit)
+			at(ps, 2, 2)[1], at(ps, 4, 4)[1])
 	}
 	if !ps.RestInactive {
 		t.Error("sprinting LUT should mark RestInactive")
 	}
 	// Lone big core should sprint to VMax (section II-D).
-	if got := ps.Entries[1][0].VBig; !close(got, vf.VMax, 1e-6) {
+	if got := at(ps, 1, 0)[0]; !close(got, vf.VMax, 1e-6) {
 		t.Errorf("lone big core voltage = %.3f, want VMax", got)
 	}
 }
@@ -241,8 +242,8 @@ func TestLUTGeneration(t *testing.T) {
 // table instead of panicking.
 func TestLookupClamping(t *testing.T) {
 	lut := GenerateLUT(DefaultConfig(), ModeNominal)
-	_ = lut.Lookup(-1, 99)
-	_ = lut.Lookup(99, -1)
+	_ = lut.Table.Lookup([]int{-1, 99})
+	_ = lut.Table.Lookup([]int{99, -1})
 }
 
 // TestThroughputCurvePeaksAtOptimum verifies the Figure 3(b) IPS_tot curve

@@ -9,11 +9,10 @@ import (
 
 // N-way generalization of the marginal-utility optimization: instead of the
 // paper's fixed big/little pair, the system is a list of core classes, each
-// with its own count and power parameters. Every class c is encoded as the
-// "big" side of its own power.Params (IPC(Big) = speed_c, alpha = power_c,
-// with the leakage current derived from the class's own nominal power), so
-// the per-class polynomial constants match the 2-class model exactly and
-// the legacy path needs no changes.
+// with its own count and power parameters. A topology class is the "big"
+// side of its own power.Params (IPC(Big) = speed_c, alpha = power_c, with
+// the leakage current derived from the class's own nominal power); the
+// paper's pair is the big and little side of one shared Params.
 //
 // The optimum still equalizes marginal power cost per unit throughput
 // across classes (equation 7). With N classes the scan+golden search over
@@ -22,19 +21,49 @@ import (
 // MU_c(v) = mu (clamped to [VMin, VMax]); total power is monotone in mu,
 // so an outer bisection finds the mu that meets the power budget.
 
-// NClass is one core class of an N-way system.
+// NClass is one core class: Count cores whose performance and power are
+// Params read from the Side() class.
 type NClass struct {
-	Count int
-	// Params carries the class's power model with the class itself encoded
-	// as power.Big (IPC(Big) = class speed, Alpha = class dynamic
-	// coefficient, LeakCurrent(Big) = class leakage).
+	Count  int
 	Params power.Params
+	// Little reads the class from the power.Little side of Params: the
+	// little half of the paper's pair. Every other class is the power.Big
+	// side of its own Params (IPC(Big) = class speed, Alpha = class dynamic
+	// coefficient, LeakCurrent(Big) = class leakage).
+	Little bool
 }
 
-// NConfig describes an N-way heterogeneous system. Classes are ordered
-// fastest first (rank 0 = fastest), mirroring the spec topology order.
+// Side returns the power.CoreClass the class's Params are read from.
+func (c NClass) Side() power.CoreClass {
+	if c.Little {
+		return power.Little
+	}
+	return power.Big
+}
+
+// NConfig describes a heterogeneous system as its class list, ordered
+// fastest first (rank 0 = fastest, hosting logical thread 0).
 type NConfig struct {
 	Classes []NClass
+}
+
+// NConfig returns the paper's big.LITTLE system as a class list: the big
+// and the little side of the shared Params.
+func (c Config) NConfig() NConfig {
+	return NConfig{Classes: []NClass{
+		{Count: c.NBig, Params: c.Params},
+		{Count: c.NLit, Params: c.Params, Little: true},
+	}}
+}
+
+// pair reports whether the class list is the paper's big.LITTLE pair (a
+// big and a little class of one shared Params) and returns it as a Config.
+func (c NConfig) pair() (Config, bool) {
+	cl := c.Classes
+	if len(cl) != 2 || cl[0].Little || !cl[1].Little || cl[0].Params != cl[1].Params {
+		return Config{}, false
+	}
+	return Config{Params: cl[0].Params, NBig: cl[0].Count, NLit: cl[1].Count}, true
 }
 
 // Counts returns the per-class core counts.
@@ -62,10 +91,13 @@ func (c NConfig) hot() nHot {
 		ipc:  make([]float64, len(c.Classes)),
 	}
 	for i := range c.Classes {
-		p := &c.Classes[i].Params
-		h.a[i] = p.Alpha * p.IPC(power.Big)
-		h.leak[i] = p.LeakCurrent(power.Big)
-		h.ipc[i] = p.IPC(power.Big)
+		p, side := &c.Classes[i].Params, c.Classes[i].Side()
+		h.ipc[i] = p.IPC(side)
+		h.a[i] = h.ipc[i] // alpha_L = 1
+		if side == power.Big {
+			h.a[i] = p.Alpha * h.ipc[i]
+		}
+		h.leak[i] = p.LeakCurrent(side)
 	}
 	return h
 }
@@ -123,11 +155,11 @@ type NResult struct {
 	SpeedupFeasible float64
 }
 
-// targetPowerN is the nominal all-cores-busy power (equation 6 generalized).
-func (c NConfig) targetPowerN() float64 {
+// TargetPower is the nominal all-cores-busy power (equation 6 generalized).
+func (c NConfig) TargetPower() float64 {
 	total := 0.0
 	for _, cl := range c.Classes {
-		total += float64(cl.Count) * cl.Params.NominalPower(power.Big)
+		total += float64(cl.Count) * cl.Params.NominalPower(cl.Side())
 	}
 	return total
 }
@@ -138,9 +170,9 @@ func (c NConfig) inactivePowerN(act []int, rest bool) float64 {
 	for i, cl := range c.Classes {
 		idle := float64(cl.Count - act[i])
 		if rest {
-			total += idle * cl.Params.RestPower(power.Big)
+			total += idle * cl.Params.RestPower(cl.Side())
 		} else {
-			total += idle * cl.Params.WaitPower(power.Big, vf.VNominal)
+			total += idle * cl.Params.WaitPower(cl.Side(), vf.VNominal)
 		}
 	}
 	return total
@@ -150,7 +182,7 @@ func (c NConfig) inactivePowerN(act []int, rest bool) float64 {
 func (c NConfig) nominalIPSN(act []int) float64 {
 	total := 0.0
 	for i, cl := range c.Classes {
-		total += float64(act[i]) * cl.Params.NominalIPS(power.Big)
+		total += float64(act[i]) * cl.Params.NominalIPS(cl.Side())
 	}
 	return total
 }
@@ -178,7 +210,7 @@ func OptimizeN(c NConfig, act []int, rest bool) NResult {
 		return res
 	}
 
-	budget := c.targetPowerN() - c.inactivePowerN(act, rest)
+	budget := c.TargetPower() - c.inactivePowerN(act, rest)
 	base := c.nominalIPSN(act)
 	h := c.hot()
 	vm := h.vfm
@@ -252,115 +284,4 @@ func OptimizeN(c NConfig, act []int, rest bool) NResult {
 	res.Feasible = pt
 	res.SpeedupFeasible = pt.IPS / base
 	return res
-}
-
-// NTable is the N-way DVFS lookup table: one per-class voltage vector per
-// activity combination, flat-indexed in mixed radix over the class counts.
-type NTable struct {
-	// Counts holds the per-class core counts (radix c is Counts[c]+1).
-	Counts []int
-	// Entries[Index(act)] is the per-class voltage vector for activity act.
-	Entries [][]float64
-	// VRest is the voltage commanded for inactive or parked cores.
-	VRest float64
-}
-
-// Index flattens an activity vector (clamped into range) to an entry index.
-func (t *NTable) Index(act []int) int {
-	idx := 0
-	for c, n := range act {
-		if n < 0 {
-			n = 0
-		}
-		if n > t.Counts[c] {
-			n = t.Counts[c]
-		}
-		idx = idx*(t.Counts[c]+1) + n
-	}
-	return idx
-}
-
-// Lookup returns the stored per-class voltage vector for an activity
-// combination. The returned slice is shared table storage: callers must
-// not mutate it.
-func (t *NTable) Lookup(act []int) []float64 {
-	return t.Entries[t.Index(act)]
-}
-
-// GenerateNWayLUT builds the DVFS lookup table for an N-way system. The
-// result is a *LUT whose NWay table carries the per-class voltages; the
-// legacy Entries grid is left as a single nominal cell so diagnostics that
-// render it stay well-defined. Serial-sprinting semantics match GenerateLUT.
-func GenerateNWayLUT(c NConfig, mode Mode) *LUT {
-	vm := c.Classes[0].Params.VF
-	t := &LUT{
-		SerialSprint: true,
-		SerialV:      vm.VMax,
-		RestInactive: mode == ModePacingSprinting,
-		VRest:        vf.VNominal,
-		Entries:      [][]VPair{{{VBig: vf.VNominal, VLit: vf.VNominal}}},
-	}
-	if t.RestInactive {
-		t.VRest = vm.VMin
-	}
-	counts := c.Counts()
-	size := 1
-	for _, n := range counts {
-		size *= n + 1
-	}
-	nt := &NTable{Counts: counts, Entries: make([][]float64, size), VRest: t.VRest}
-	nominal := make([]float64, len(counts))
-	for i := range nominal {
-		nominal[i] = vf.VNominal
-	}
-
-	act := make([]int, len(counts))
-	for idx := 0; idx < size; idx++ {
-		// Decode idx into the activity vector (mixed radix, class 0 most
-		// significant — matching Index).
-		rem := idx
-		for ci := len(counts) - 1; ci >= 0; ci-- {
-			act[ci] = rem % (counts[ci] + 1)
-			rem /= counts[ci] + 1
-		}
-		entry := append([]float64(nil), nominal...)
-		switch mode {
-		case ModeNominal:
-			// all nominal
-		case ModePacing:
-			full := true
-			for ci, n := range act {
-				if n != counts[ci] {
-					full = false
-					break
-				}
-			}
-			if full {
-				r := OptimizeN(c, act, false)
-				copy(entry, r.Feasible.V)
-			}
-		case ModePacingSprinting:
-			anyActive := false
-			for _, n := range act {
-				if n > 0 {
-					anyActive = true
-					break
-				}
-			}
-			if anyActive {
-				r := OptimizeN(c, act, true)
-				copy(entry, r.Feasible.V)
-			}
-			// Inactive (or fully idle) classes keep a defined resting
-			// voltage so the controller always has a target for every core.
-			for ci, n := range act {
-				if n == 0 || !anyActive {
-					entry[ci] = vm.VMin
-				}
-			}
-		}
-		nt.Entries[idx] = entry
-	}
-	t.NWay = nt
-	return t
 }

@@ -71,7 +71,7 @@ func TestOptimizeNPowerBudget(t *testing.T) {
 		{Count: 2, Params: power.DefaultParams().WithAlphaBeta(2.2, 1.7)},
 		{Count: 3, Params: power.DefaultParams().WithAlphaBeta(1, 1)},
 	}}
-	target := ncfg.targetPowerN()
+	target := ncfg.TargetPower()
 	act := make([]int, 3)
 	for a0 := 0; a0 <= 1; a0++ {
 		for a1 := 0; a1 <= 2; a1++ {
@@ -139,10 +139,10 @@ func TestGenerateNWayLUTShape(t *testing.T) {
 	ncfg := nway4B4L()
 	for _, mode := range []Mode{ModeNominal, ModePacing, ModePacingSprinting} {
 		lut := GenerateNWayLUT(ncfg, mode)
-		if lut.NWay == nil {
-			t.Fatalf("mode %v: nil NWay table", mode)
+		if lut.Table == nil {
+			t.Fatalf("mode %v: nil table", mode)
 		}
-		nt := lut.NWay
+		nt := lut.Table
 		if len(nt.Entries) != 25 {
 			t.Fatalf("mode %v: %d entries, want 25", mode, len(nt.Entries))
 		}
@@ -150,8 +150,8 @@ func TestGenerateNWayLUTShape(t *testing.T) {
 		if mode == ModePacingSprinting {
 			wantRest = vf.VMin
 		}
-		if nt.VRest != wantRest {
-			t.Errorf("mode %v: VRest = %.2f, want %.2f", mode, nt.VRest, wantRest)
+		if lut.VRest != wantRest {
+			t.Errorf("mode %v: VRest = %.2f, want %.2f", mode, lut.VRest, wantRest)
 		}
 		if !lut.SerialSprint || lut.SerialV != vf.VMax {
 			t.Errorf("mode %v: serial sprint %v at %.2f, want true at VMax", mode, lut.SerialSprint, lut.SerialV)

@@ -215,15 +215,22 @@ func (r *Recorder) WriteCSV(w io.Writer, names []string, samples int) error {
 	return ew.err
 }
 
-// CoreNames builds the paper's core labels for a machine with nBig big
-// cores followed by nLit little cores (B0..B3, L0..L3).
-func CoreNames(nBig, nLit int) []string {
-	names := make([]string, 0, nBig+nLit)
-	for i := 0; i < nBig; i++ {
-		names = append(names, fmt.Sprintf("B%d", i))
-	}
-	for i := 0; i < nLit; i++ {
-		names = append(names, fmt.Sprintf("L%d", i))
+// CoreNames builds the core labels for a machine with counts[c] cores of
+// class c, fastest class first: the paper's B0…/L0… for a 2-class machine,
+// C<class>.<i> otherwise.
+func CoreNames(counts ...int) []string {
+	var names []string
+	for c, n := range counts {
+		for i := 0; i < n; i++ {
+			switch {
+			case len(counts) != 2:
+				names = append(names, fmt.Sprintf("C%d.%d", c, i))
+			case c == 0:
+				names = append(names, fmt.Sprintf("B%d", i))
+			default:
+				names = append(names, fmt.Sprintf("L%d", i))
+			}
+		}
 	}
 	return names
 }

@@ -18,7 +18,7 @@ func newTestRuntime(t testing.TB, v Variant, nBig, nLit int) *Runtime {
 	cfg := model.Config{Params: p, NBig: nBig, NLit: nLit}
 	lut := model.GenerateLUT(cfg, v.LUTMode())
 	eng := sim.NewEngine()
-	mc := machine.Config{BigCores: nBig, LittleCores: nLit, Params: p, LUT: lut, InterruptCycles: 20}
+	mc := machine.Config{Classes: cfg.NConfig().Classes, LUT: lut, InterruptCycles: 20}
 	m, err := machine.New(eng, mc)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestBiasingReducesLittleSteals(t *testing.T) {
 		cfgM := model.Config{Params: p, NBig: 4, NLit: 4}
 		lut := model.GenerateLUT(cfgM, model.ModeNominal)
 		eng := sim.NewEngine()
-		m, err := machine.New(eng, machine.Config{BigCores: 4, LittleCores: 4, Params: p, LUT: lut, InterruptCycles: 20})
+		m, err := machine.New(eng, machine.Config{Classes: cfgM.NConfig().Classes, LUT: lut, InterruptCycles: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
