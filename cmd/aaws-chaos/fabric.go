@@ -1,10 +1,10 @@
 // Fabric chaos scenarios: deterministic, seeded adversarial drills for the
 // distributed sweep fabric, run fully in-process over loopback TCP.
 //
-//	coord-crash   kill the coordinator mid-sweep (journal + disk cache
-//	              survive), restart it on the same address, replay the
-//	              journal, and require the merged fingerprint bit-identical
-//	              to a single-node run
+//	coord-crash   kill a coordinator node (executor over coordinator)
+//	              mid-sweep (journal + disk cache survive), restart a fresh
+//	              pair on the same address, replay the journal, and require
+//	              the merged fingerprint bit-identical to a single-node run
 //	zombie        partition a worker mid-shard, let its replacement register
 //	              (new epoch), then heal the partition and inject a stale-
 //	              epoch result carrying corrupted data — the epoch fence must
@@ -290,11 +290,14 @@ func stopChaosWorkers(ws []*chaosWorker) {
 	}
 }
 
-// scenarioCoordCrash kills the coordinator mid-sweep and restarts it on the
-// same address with the same journal and disk cache. The recovered sweep —
-// replayed tasks recomputed by the reconnecting fleet, pre-crash results
-// answered from the surviving disk cache — must fingerprint bit-identical
-// to the single-node reference (and the committed value, when given).
+// scenarioCoordCrash kills a coordinator node — an executor over a
+// coordinator (fabric.NewNode) — mid-sweep: the executor is abandoned and
+// the coordinator Killed, so no terminal journal record is written. A fresh
+// pair restarts on the same address with the same journal and disk cache
+// and replays the journal. The recovered sweep — replayed jobs recomputed by
+// the reconnecting fleet, pre-crash results answered from the surviving disk
+// cache — must fingerprint bit-identical to the single-node reference (and
+// the committed value, when given).
 func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, refFP, committedFP string) (r scenarioResult) {
 	tmp, err := os.MkdirTemp("", "aaws-fabric-chaos-")
 	if err != nil {
@@ -304,29 +307,36 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 	defer os.RemoveAll(tmp)
 	journalDir := filepath.Join(tmp, "journal")
 	cacheDir := filepath.Join(tmp, "cache")
+	coordCfg := fabric.CoordConfig{
+		HedgeDelay:       -1, // single dispatch path: duplicates must be zero
+		HeartbeatTimeout: 2 * time.Second,
+		RetryBackoff:     25 * time.Millisecond,
+	}
+	// startNode opens the journal and disk cache and builds a node over
+	// them; every incarnation sees what the previous one left on disk.
+	startNode := func() (*jobs.Journal, []jobs.Pending, *jobs.Executor, *fabric.Coordinator, error) {
+		store, pending, err := jobs.OpenJournal(journalDir, jobs.JournalConfig{})
+		if err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("opening journal: %w", err)
+		}
+		cache, err := jobs.NewCache(8192, cacheDir)
+		if err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("disk cache: %w", err)
+		}
+		ex, coord, err := fabric.NewNode(jobs.Config{Workers: 2 * o.nodes, Cache: cache, Journal: store}, coordCfg)
+		if err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("node: %w", err)
+		}
+		return store, pending, ex, coord, nil
+	}
 
-	store1, pend0, err := jobs.OpenJournal(journalDir, jobs.JournalConfig{})
+	_, pend0, ex1, coord1, err := startNode()
 	if err != nil {
-		r.failf("opening journal: %v", err)
+		r.failf("%v", err)
 		return r
 	}
 	if len(pend0) != 0 {
 		r.failf("fresh journal replayed %d jobs", len(pend0))
-		return r
-	}
-	cache1, err := jobs.NewCache(8192, cacheDir)
-	if err != nil {
-		r.failf("disk cache: %v", err)
-		return r
-	}
-	coord1, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache: cache1, Store: store1,
-		HedgeDelay:       -1, // single dispatch path: duplicates must be zero
-		HeartbeatTimeout: 2 * time.Second,
-		RetryBackoff:     25 * time.Millisecond,
-	})
-	if err != nil {
-		r.failf("coordinator: %v", err)
 		return r
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -346,18 +356,22 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 		return r
 	}
 
+	// Cells go in one job each, so those that finish before the kill leave
+	// terminal journal records and the rest stay pending; every cell is
+	// journaled before Submit returns.
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
-		t, err := coord1.Submit(spec)
+		job, err := ex1.Submit(spec, jobs.SubmitOptions{})
 		if err != nil {
 			r.failf("submit %d: %v", i, err)
 			return r
 		}
-		ids[i] = t.ID
+		ids[i] = job.ID
 	}
 
 	// SIGKILL analog once a third of the shards have committed: abrupt, no
-	// journal finalization, no task resolution.
+	// journal finalization, no job resolution. The first executor is
+	// abandoned with its running jobs still waiting on the dead coordinator.
 	threshold := uint64(len(specs) / 3)
 	if threshold == 0 {
 		threshold = 1
@@ -371,36 +385,22 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 		time.Sleep(2 * time.Millisecond)
 	}
 	coord1.Kill()
-	r.notef("killed coordinator after %d/%d shards committed", coord1.Metrics().ShardsCompleted, len(specs))
+	r.notef("killed coordinator node after %d/%d shards committed", coord1.Metrics().ShardsCompleted, len(specs))
 
-	// Restart: fresh journal replay, fresh coordinator on the same address
-	// (the fleet is still retrying it), same disk cache directory.
-	store2, pending, err := jobs.OpenJournal(journalDir, jobs.JournalConfig{})
+	// Restart: fresh journal replay, fresh node on the same address (the
+	// fleet is still retrying it), same disk cache directory.
+	store2, pending, ex2, coord2, err := startNode()
 	if err != nil {
-		r.failf("reopening journal: %v", err)
+		r.failf("restart: %v", err)
 		return r
 	}
 	defer store2.Close()
-	if len(pending) == 0 {
-		r.failf("journal replay found no pending tasks — the kill did not land mid-sweep")
-		return r
-	}
-	cache2, err := jobs.NewCache(8192, cacheDir)
-	if err != nil {
-		r.failf("reopening disk cache: %v", err)
-		return r
-	}
-	coord2, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache: cache2, Store: store2,
-		HedgeDelay:       -1,
-		HeartbeatTimeout: 2 * time.Second,
-		RetryBackoff:     25 * time.Millisecond,
-	})
-	if err != nil {
-		r.failf("restart coordinator: %v", err)
-		return r
-	}
+	defer ex2.Close()
 	defer coord2.Close()
+	if len(pending) == 0 {
+		r.failf("journal replay found no pending jobs — the kill did not land mid-sweep")
+		return r
+	}
 	var ln2 net.Listener
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		ln2, err = net.Listen("tcp", addr)
@@ -415,33 +415,33 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 	}
 	go func() { _ = coord2.Serve(ln2) }()
 
-	n, err := coord2.Recover(pending)
+	n, err := ex2.Recover(pending)
 	if err != nil {
 		r.failf("recover: %v", err)
 		return r
 	}
 	if n != len(pending) {
-		r.failf("recovered %d of %d pending tasks", n, len(pending))
+		r.failf("recovered %d of %d pending jobs", n, len(pending))
 		return r
 	}
-	r.notef("replayed %d journaled tasks", n)
+	r.notef("replayed %d journaled jobs", n)
 
-	// Drain the sweep through the restarted coordinator: replayed IDs are
-	// awaited directly (preserved across the crash); tasks that committed
-	// pre-crash are gone from memory and resubmitted — the surviving disk
+	// Drain the sweep through the restarted node: replayed IDs are awaited
+	// directly (preserved across the crash); jobs that finished pre-crash
+	// are unknown to the new executor and resubmitted — the surviving disk
 	// cache must answer those without recompute.
 	replayed, rehit := 0, 0
 	cells := make([][]byte, len(specs))
 	for i, id := range ids {
-		snap, err := coord2.Wait(ctx, id)
-		if errors.Is(err, fabric.ErrUnknownTask) {
-			t, serr := coord2.Submit(specs[i])
+		snap, err := ex2.Wait(ctx, id)
+		if errors.Is(err, jobs.ErrUnknownJob) {
+			job, serr := ex2.Submit(specs[i], jobs.SubmitOptions{})
 			if serr != nil {
 				r.failf("resubmit %d: %v", i, serr)
 				return r
 			}
-			snap, err = coord2.Wait(ctx, t.ID)
-			if err == nil && snap.RemoteHit {
+			snap, err = ex2.Wait(ctx, job.ID)
+			if err == nil && snap.CacheHit {
 				rehit++
 			}
 		} else if err == nil && snap.Replayed {
@@ -458,12 +458,12 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 		cells[i] = snap.Data
 	}
 	if replayed == 0 {
-		r.failf("no awaited task carried the replayed marker")
+		r.failf("no awaited job carried the replayed marker")
 	}
 	if rehit == 0 {
 		r.failf("no pre-crash result was answered from the surviving disk cache")
 	}
-	r.notef("%d tasks recomputed after replay, %d pre-crash results served from disk cache", replayed, rehit)
+	r.notef("%d jobs recomputed after replay, %d pre-crash results served from disk cache", replayed, rehit)
 
 	fp := fabric.Fingerprint(cells)
 	if fp != refFP {
@@ -472,14 +472,13 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 	if committedFP != "" && fp != committedFP {
 		r.failf("recovered fingerprint %s != committed %s", fp, committedFP)
 	}
-	m := coord2.Metrics()
-	if m.Duplicates != 0 {
+	if m := coord2.Metrics(); m.Duplicates != 0 {
 		r.failf("restarted coordinator committed duplicates: %d suppressed results with hedging disabled", m.Duplicates)
 	}
-	if jm, ok := coord2.JournalMetrics(); !ok {
-		r.failf("restarted coordinator reports no journal")
-	} else if jm.OpenJobs != 0 {
-		r.failf("journal invariant: %d jobs still open after the sweep drained", jm.OpenJobs)
+	if m := ex2.Metrics(); !m.Journaled {
+		r.failf("restarted executor reports no journal")
+	} else if m.Journal.OpenJobs != 0 {
+		r.failf("journal invariant: %d jobs still open after the sweep drained", m.Journal.OpenJobs)
 	}
 	r.notef("fingerprint %s matches reference", fp)
 	return r
@@ -526,15 +525,16 @@ func (wc *wireConn) read() (fabric.Frame, error) {
 // epoch and carrying deliberately wrong bytes. The fence must reject it; the
 // shard must commit exactly once, from the current epoch, with correct data.
 func scenarioZombie(o fabricChaosOptions, specs []core.Spec) (r scenarioResult) {
-	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
+	ex, coord, err := fabric.NewNode(jobs.Config{Workers: 1}, fabric.CoordConfig{
 		HedgeDelay: -1,
 		// Generous timeout: the partition is explicit, not heartbeat-driven.
 		HeartbeatTimeout: 60 * time.Second,
 	})
 	if err != nil {
-		r.failf("coordinator: %v", err)
+		r.failf("coordinator node: %v", err)
 		return r
 	}
+	defer ex.Close()
 	defer coord.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -577,7 +577,7 @@ func scenarioZombie(o fabricChaosOptions, specs []core.Spec) (r scenarioResult) 
 	}
 	e1 := ack.Epoch
 
-	task, err := coord.Submit(spec)
+	job, err := ex.Submit(spec, jobs.SubmitOptions{})
 	if err != nil {
 		r.failf("submit: %v", err)
 		return r
@@ -634,8 +634,8 @@ func scenarioZombie(o fabricChaosOptions, specs []core.Spec) (r scenarioResult) 
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if snap, err := coord.Get(task.ID); err != nil {
-		r.failf("task lookup after stale frame: %v", err)
+	if snap, err := ex.Get(job.ID); err != nil {
+		r.failf("job lookup after stale frame: %v", err)
 		return r
 	} else if snap.State.Terminal() {
 		r.failf("stale-epoch result committed the shard (state %s)", snap.State)
@@ -654,13 +654,13 @@ func scenarioZombie(o fabricChaosOptions, specs []core.Spec) (r scenarioResult) 
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	snap, err := coord.Wait(ctx, task.ID)
+	snap, err := ex.Wait(ctx, job.ID)
 	if err != nil {
-		r.failf("awaiting task: %v", err)
+		r.failf("awaiting job: %v", err)
 		return r
 	}
 	if snap.State != jobs.StateDone {
-		r.failf("task ended %s: %v", snap.State, snap.Err)
+		r.failf("job ended %s: %v", snap.State, snap.Err)
 		return r
 	}
 	if string(snap.Data) != string(correct) {

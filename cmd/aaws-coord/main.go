@@ -1,15 +1,16 @@
-// Command aaws-coord runs the distributed sweep fabric coordinator: it
-// accepts sweep submissions over the same HTTP API aaws-serve speaks, shards
-// them by spec content address across registered worker nodes (aaws-serve
-// -worker), serves the fabric-wide shared result cache, and hedges slow
-// shards onto a second node.
+// Command aaws-coord is the distributed sweep fabric's self-test: it boots
+// an in-process fabric — coordinator plus N workers over loopback TCP —
+// runs the default sweep matrix through it and through a plain single-node
+// loop, and exits nonzero unless the two fingerprints are bit-identical
+// (optionally also checking a committed fingerprint file, optionally
+// injecting a worker fail-stop mid-sweep, and always asserting the second
+// pass is answered from the shared cache).
 //
-// With -selftest it instead boots an in-process fabric — coordinator plus N
-// workers over loopback TCP — runs the default sweep matrix through it and
-// through a plain single-node loop, and exits nonzero unless the two
-// fingerprints are bit-identical (optionally also checking a committed
-// fingerprint file, optionally injecting a worker fail-stop mid-sweep, and
-// always asserting the second pass is answered from the shared cache).
+//	aaws-coord -selftest -workers 2 -failstop -fingerprint examples/fabric/fingerprint.json
+//
+// A serving coordinator is an aaws-serve node: aaws-serve -fabric-addr
+// :9090 runs the jobs API (tenant WFQ, admission, quotas, journal) over the
+// fleet that registers on that address.
 package main
 
 import (
@@ -21,9 +22,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"aaws/internal/core"
@@ -35,117 +34,34 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8090", "HTTP API listen address")
-		fabricAddr  = flag.String("fabric-addr", ":9090", "worker (fabric TCP) listen address")
-		cacheSize   = flag.Int("cache-size", 8192, "shared result cache capacity (entries)")
-		cacheDir    = flag.String("cache-dir", "", "shared cache spill directory (empty = memory only)")
-		journalDir  = flag.String("journal-dir", "", "sweep journal directory (empty = memory only, no crash durability)")
-		journalSeg  = flag.Int("journal-segment-mb", 4, "journal segment size before rotation+compaction (MiB)")
-		hedgeDelay  = flag.Duration("hedge-delay", time.Second, "delay before hedging an uncommitted shard (negative disables)")
-		hedgeJitter = flag.Duration("hedge-jitter", 0, "deterministic per-shard hedge jitter span (0 = hedge-delay/2)")
-		hbTimeout   = flag.Duration("heartbeat-timeout", 5*time.Second, "fail workers silent for this long")
-		maxBodyKB   = flag.Int("max-body-kb", 1024, "maximum HTTP request body size in KiB")
-
-		selftest = flag.Bool("selftest", false, "run the in-process fabric self-test and exit")
-		nNodes   = flag.Int("workers", 2, "selftest: number of in-process worker nodes")
-		nodePool = flag.Int("node-workers", 2, "selftest: executor pool size per node")
-		system   = flag.String("system", "4B4L", "selftest: system to sweep")
-		scale    = flag.Float64("scale", 1.0, "selftest: workload scale factor")
-		seed     = flag.Uint64("seed", 42, "selftest: sweep seed")
-		failstop = flag.Bool("failstop", false, "selftest: kill one worker mid-sweep and require recovery")
-		fpPath   = flag.String("fingerprint", "", "selftest: committed fingerprint file to check against")
-		writeFP  = flag.Bool("write-fingerprint", false, "selftest: (re)write the fingerprint file from the single-node run")
-		outPath  = flag.String("out", "", "selftest: write a JSON artifact (fingerprints, metrics, shard latencies)")
+		selftest = flag.Bool("selftest", false, "run the in-process fabric self-test and exit (required)")
+		nNodes   = flag.Int("workers", 2, "number of in-process worker nodes")
+		nodePool = flag.Int("node-workers", 2, "executor pool size per node")
+		system   = flag.String("system", "4B4L", "system to sweep")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor")
+		seed     = flag.Uint64("seed", 42, "sweep seed")
+		failstop = flag.Bool("failstop", false, "kill one worker mid-sweep and require recovery")
+		fpPath   = flag.String("fingerprint", "", "committed fingerprint file to check against")
+		writeFP  = flag.Bool("write-fingerprint", false, "(re)write the fingerprint file from the single-node run")
+		outPath  = flag.String("out", "", "write a JSON artifact (fingerprints, metrics, shard latencies)")
 	)
 	flag.Parse()
 
-	if *selftest {
-		os.Exit(runSelftest(selftestOptions{
-			nodes:    *nNodes,
-			nodePool: *nodePool,
-			system:   *system,
-			scale:    *scale,
-			seed:     *seed,
-			failstop: *failstop,
-			fpPath:   *fpPath,
-			writeFP:  *writeFP,
-			outPath:  *outPath,
-		}))
+	if !*selftest {
+		fmt.Fprintln(os.Stderr, "aaws-coord: only -selftest is supported; run a coordinator node with aaws-serve -fabric-addr")
+		os.Exit(2)
 	}
-
-	cache, err := jobs.NewCache(*cacheSize, *cacheDir)
-	if err != nil {
-		log.Fatalf("aaws-coord: cache: %v", err)
-	}
-
-	// The sweep journal opens before the coordinator so MaxSeq seeds the ID
-	// sequence; replaying the pending backlog happens after the listeners
-	// are up (workers can register while /readyz reports journal-replay).
-	var store jobs.Store
-	var pending []jobs.Pending
-	if *journalDir != "" {
-		j, p, err := jobs.OpenJournal(*journalDir, jobs.JournalConfig{
-			SegmentBytes: int64(*journalSeg) << 20,
-		})
-		if err != nil {
-			log.Fatalf("aaws-coord: journal: %v", err)
-		}
-		store, pending = j, p
-	}
-
-	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache:            cache,
-		Store:            store,
-		HedgeDelay:       *hedgeDelay,
-		HedgeJitter:      *hedgeJitter,
-		HeartbeatTimeout: *hbTimeout,
-	})
-	if err != nil {
-		log.Fatalf("aaws-coord: coordinator: %v", err)
-	}
-
-	fln, err := net.Listen("tcp", *fabricAddr)
-	if err != nil {
-		log.Fatalf("aaws-coord: fabric listener: %v", err)
-	}
-	go func() {
-		if err := coord.Serve(fln); err != nil {
-			log.Printf("aaws-coord: fabric listener closed: %v", err)
-		}
-	}()
-
-	api := fabric.NewHTTP(coord, fabric.HTTPOptions{MaxBodyBytes: int64(*maxBodyKB) << 10})
-	srv := &http.Server{Addr: *addr, Handler: api}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("aaws-coord: http: %v", err)
-		}
-	}()
-	log.Printf("aaws-coord: api on %s, fabric on %s", *addr, fln.Addr())
-
-	if len(pending) > 0 {
-		// Submissions 503 (Retry-After) until the crashed backlog is back in
-		// flight; recovered shards park if no worker has re-registered yet.
-		api.SetPhase("journal-replay")
-		n, err := coord.Recover(pending)
-		if err != nil {
-			log.Fatalf("aaws-coord: journal replay: %v", err)
-		}
-		api.SetPhase("")
-		log.Printf("aaws-coord: recovered %d journaled task(s)", n)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("aaws-coord: shutting down")
-	coord.Close()
-	if store != nil {
-		_ = store.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
+	os.Exit(runSelftest(selftestOptions{
+		nodes:    *nNodes,
+		nodePool: *nodePool,
+		system:   *system,
+		scale:    *scale,
+		seed:     *seed,
+		failstop: *failstop,
+		fpPath:   *fpPath,
+		writeFP:  *writeFP,
+		outPath:  *outPath,
+	}))
 }
 
 type selftestOptions struct {

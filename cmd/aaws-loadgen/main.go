@@ -25,10 +25,10 @@
 // nonzero. Latency/shed budgets (-budget-p99-ms, -budget-shed) only warn:
 // they are regression telemetry, not gates.
 //
-// With -target-coord the same scenarios drive a fabric coordinator
-// (aaws-coord) instead of a single server: the run is labeled "fabric" and
-// the report gains a remote_cache section with the shared result tier's
-// hit/miss split scraped from the coordinator's /metrics.
+// With -target-coord the same scenarios drive a fabric coordinator node
+// (aaws-serve -fabric-addr) instead of a single server: the run is labeled
+// "fabric" and the report gains a remote_cache section with the shared
+// result tier's hit/miss split scraped from the node's /metrics.
 package main
 
 import (
@@ -46,7 +46,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "", "target server base URL (e.g. http://localhost:8080); mutually exclusive with -self")
-	targetCoord := flag.String("target-coord", "", "fabric coordinator base URL (e.g. http://localhost:8090): like -addr, but labels the run \"fabric\" and reports the shared remote-cache hit rate from coordinator metrics")
+	targetCoord := flag.String("target-coord", "", "fabric coordinator node base URL (aaws-serve -fabric-addr, e.g. http://localhost:8090): like -addr, but labels the run \"fabric\" and reports the shared remote-cache hit rate from the node's metrics")
 	self := flag.Bool("self", false, "boot an in-process server on a loopback port and drive it")
 	selfQoS := flag.String("self-qos", "wfq", "self-server queue policy: wfq (weighted-fair + tenant cache quotas) or fifo (legacy, no quotas)")
 	selfWorkers := flag.Int("self-workers", 1, "self-server worker pool size")
@@ -98,8 +98,8 @@ func main() {
 		}
 		policy = *selfQoS
 	case *targetCoord != "":
-		// The coordinator speaks the same /v1/jobs API subset, so the
-		// scenario machinery drives it unchanged.
+		// A coordinator node is an aaws-serve, so the scenario machinery
+		// drives it unchanged.
 		target = *targetCoord
 		if policy == "" {
 			policy = "fabric"

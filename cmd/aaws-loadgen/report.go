@@ -65,16 +65,20 @@ type LatencySummary struct {
 	Max  float64 `json:"max"`
 }
 
-// RemoteCacheReport is the fabric shared tier's hit/miss split, from the
-// coordinator's aaws_fabric_remote_cache_* counters.
+// RemoteCacheReport is the fabric shared tier's hit/miss split, from a
+// coordinator node's /metrics.
 type RemoteCacheReport struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hit_rate"`
 }
 
-// scrapeRemoteCache reads the coordinator's Prometheus text exposition and
-// folds the shared-tier counters into a RemoteCacheReport.
+// scrapeRemoteCache reads a coordinator node's Prometheus text exposition
+// and folds the shared-tier counters into a RemoteCacheReport. On such a
+// node the executor's cache is the shared tier, so its hits
+// (aaws_cache_hits_total) count as shared-tier hits alongside the rarer
+// cells the coordinator itself finds there (aaws_fabric_remote_cache_*);
+// every coordinator miss is a cell dispatched to the fleet.
 func scrapeRemoteCache(base string) (*RemoteCacheReport, error) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -96,8 +100,8 @@ func scrapeRemoteCache(base string) (*RemoteCacheReport, error) {
 			continue
 		}
 		switch name {
-		case "aaws_fabric_remote_cache_hits_total":
-			rc.Hits = uint64(v)
+		case "aaws_cache_hits_total", "aaws_fabric_remote_cache_hits_total":
+			rc.Hits += uint64(v)
 		case "aaws_fabric_remote_cache_misses_total":
 			rc.Misses = uint64(v)
 		}

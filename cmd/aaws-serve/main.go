@@ -24,11 +24,23 @@
 // submissions are rejected, in-flight jobs finish (bounded by
 // -drain-timeout), then the listener closes.
 //
-// With -worker -coordinator host:port the server also joins a distributed
-// sweep fabric: it registers with an aaws-coord coordinator, executes
-// dispatched shards through the same bounded executor, and streams results
-// back; -remote-cache URL layers the fabric-wide shared result tier under
-// the local cache. /readyz reports degraded until registration completes.
+// With -fabric-addr host:port the server is a fabric coordinator node: the
+// same executor, tenant WFQ, admission, quotas and journal, but jobs run on
+// the worker fleet that registers on that address instead of in-process
+// (-workers then bounds the jobs in flight on the fleet; unset, it follows
+// the fleet's registered slots). The node also serves the shared result tier
+// workers read and fill (/v1/cache/{hash}) and a fleet view (/v1/workers)
+// on -addr; /readyz reports degraded while no worker is registered, but work
+// is still accepted and parked, and time parked does not count against a
+// job's deadline. A node's drain never cancels fleet-bound jobs: at
+// -drain-timeout it stops with them still open in the journal, for the next
+// start to replay.
+//
+// With -worker -coordinator host:port the server instead joins a fabric as
+// a worker: it registers with a coordinator node, executes dispatched shards
+// through the same bounded executor, and streams results back;
+// -remote-cache URL layers the fabric-wide shared result tier under the
+// local cache. /readyz reports degraded until registration completes.
 package main
 
 import (
@@ -36,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof/ on the opt-in -debug-addr listener
 	"os"
@@ -50,7 +63,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "simulations in flight (with -fabric-addr: on the worker fleet, default its registered slots)")
 	queueDepth := flag.Int("queue-depth", 1024, "max queued jobs before 429s")
 	cacheSize := flag.Int("cache-size", 1024, "in-memory result cache entries")
 	cacheDir := flag.String("cache-dir", "", "optional on-disk result store (content-addressed, survives restarts)")
@@ -77,6 +90,10 @@ func main() {
 	workerName := flag.String("worker-name", "", "fabric worker name (default: hostname)")
 	remoteCacheURL := flag.String("remote-cache", "", "coordinator HTTP base URL for the shared result-cache tier (e.g. http://coord:8090)")
 	remoteCacheTimeout := flag.Duration("remote-cache-timeout", 5*time.Second, "per-request timeout for the shared result-cache tier")
+	fabricAddr := flag.String("fabric-addr", "", "run as a fabric coordinator node: accept workers on this TCP address and run jobs on them")
+	hedgeDelay := flag.Duration("hedge-delay", time.Second, "coordinator: delay before hedging an uncommitted shard (negative disables)")
+	hedgeJitter := flag.Duration("hedge-jitter", 0, "coordinator: deterministic per-shard hedge jitter span (0 = hedge-delay/2)")
+	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "coordinator: fail workers silent for this long")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -85,6 +102,9 @@ func main() {
 	}
 	if *worker && *coordAddr == "" {
 		fail(errors.New("aaws-serve: -worker requires -coordinator host:port"))
+	}
+	if *worker && *fabricAddr != "" {
+		fail(errors.New("aaws-serve: -worker and -fabric-addr are exclusive (a node is a worker or a coordinator)"))
 	}
 	cache, err := jobs.NewCache(*cacheSize, *cacheDir)
 	if err != nil {
@@ -156,13 +176,35 @@ func main() {
 		// interface would read as "journaled" to the executor.
 		cfg.Journal = journal
 	}
-	ex := jobs.NewExecutor(cfg)
-	api := jobs.NewServerWithOptions(ex, jobs.ServerOptions{
+	opts := jobs.ServerOptions{
 		RatePerSec:   *rate,
 		Burst:        *burst,
 		MaxBodyBytes: int64(*maxBodyKB) << 10,
-	})
-	srv := &http.Server{Addr: *addr, Handler: api}
+	}
+	var ex *jobs.Executor
+	var coord *fabric.Coordinator
+	if *fabricAddr != "" {
+		if !flagSet("workers") {
+			cfg.Workers = 0 // track the fleet's registered slots
+		}
+		ex, coord, err = fabric.NewNode(cfg, fabric.CoordConfig{
+			HedgeDelay:       *hedgeDelay,
+			HedgeJitter:      *hedgeJitter,
+			HeartbeatTimeout: *hbTimeout,
+		})
+		if err != nil {
+			fail(err)
+		}
+		opts.Degraded = coord.Degraded
+	} else {
+		ex = jobs.NewExecutor(cfg)
+	}
+	api := jobs.NewServerWithOptions(ex, opts)
+	var handler http.Handler = api
+	if coord != nil {
+		handler = fabric.Mount(api, coord)
+	}
+	srv := &http.Server{Addr: *addr, Handler: handler}
 
 	var fw *fabric.Worker
 	if *worker {
@@ -203,10 +245,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// Listen before replaying so health probes see the process, but hold
-	// /readyz at 503 until the queue is rebuilt.
+	// Listen before replaying so health probes see the process (and the
+	// fleet can register to run the replayed backlog), but hold /readyz at
+	// 503 and refuse submissions until the queue is rebuilt.
 	if len(pending) > 0 {
 		api.SetReady(false)
+	}
+	if coord != nil {
+		fln, err := net.Listen("tcp", *fabricAddr)
+		if err != nil {
+			fail(err)
+		}
+		go func() { _ = coord.Serve(fln) }()
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
@@ -219,6 +269,9 @@ func main() {
 	}
 	if *remoteCacheURL != "" {
 		fmt.Printf(", remote cache %s", *remoteCacheURL)
+	}
+	if coord != nil {
+		fmt.Printf(", fabric coordinator on %s", *fabricAddr)
 	}
 	fmt.Println(")")
 	if len(pending) > 0 {
@@ -257,10 +310,14 @@ func main() {
 	fmt.Println("aaws-serve: draining (new submissions rejected)...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := ex.Drain(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "aaws-serve: drain incomplete: %v\n", err)
+	if coord == nil {
+		if err := ex.Drain(drainCtx); err != nil {
+			fmt.Fprintf(os.Stderr, "aaws-serve: drain incomplete: %v\n", err)
+		}
+		ex.Close()
+	} else if err := drainNode(drainCtx, ex, coord); err != nil {
+		fmt.Fprintf(os.Stderr, "aaws-serve: drain incomplete, unfinished jobs left to the next start: %v\n", err)
 	}
-	ex.Close()
 	if journal != nil {
 		if err := journal.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "aaws-serve: journal close: %v\n", err)
@@ -272,4 +329,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aaws-serve: shutdown: %v\n", err)
 	}
 	fmt.Println("aaws-serve: stopped")
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// drainNode drains a coordinator node. Fleet-bound jobs are never canceled:
+// if ctx expires first the coordinator is Killed instead, so the unfinished
+// jobs stop where they are and their journal records stay open for the next
+// start's Recover, as after a crash. The executor is closed only once idle.
+func drainNode(ctx context.Context, ex *jobs.Executor, coord *fabric.Coordinator) error {
+	idle := make(chan struct{})
+	go func() {
+		_ = ex.Drain(context.Background())
+		close(idle)
+	}()
+	select {
+	case <-idle:
+		ex.Close()
+		coord.Close()
+		return nil
+	case <-ctx.Done():
+		coord.Kill()
+		return ctx.Err()
+	}
 }

@@ -31,8 +31,20 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
-// startCoordProcess launches the aaws-coord binary and waits for its HTTP
-// listener. The returned command is running; kill it yourself.
+// buildServe builds the aaws-serve binary into dir.
+func buildServe(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "aaws-serve")
+	build := exec.Command("go", "build", "-o", bin, "aaws/cmd/aaws-serve")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building aaws-serve: %v", err)
+	}
+	return bin
+}
+
+// startCoordProcess launches an aaws-serve coordinator node and waits for
+// its HTTP listener. The returned command is running; kill it yourself.
 func startCoordProcess(t *testing.T, bin string, args []string, httpBase string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -79,21 +91,17 @@ func metricValue(t *testing.T, httpBase, name string) float64 {
 }
 
 // TestCoordCrashRecoverySubprocess is the acceptance drill against the real
-// binary: SIGKILL the coordinator process mid-sweep, restart it with the
-// same journal and cache directories, and require the drained sweep's
-// merged fingerprint to be bit-identical to the committed reference — with
-// journal replay observable in metrics and the WAL fully drained at the end.
+// binary: SIGKILL a coordinator node (aaws-serve -fabric-addr) mid-sweep,
+// restart it with the same journal and cache directories, and require the
+// drained sweep's merged fingerprint to be bit-identical to the committed
+// reference — with journal replay observable in metrics and the WAL fully
+// drained at the end.
 func TestCoordCrashRecoverySubprocess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash-recovery drill is not -short material")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "aaws-coord")
-	build := exec.Command("go", "build", "-o", bin, "aaws/cmd/aaws-coord")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building aaws-coord: %v", err)
-	}
+	bin := buildServe(t, dir)
 
 	httpPort, fabricPort := freePort(t), freePort(t)
 	httpBase := fmt.Sprintf("http://127.0.0.1:%d", httpPort)
@@ -193,12 +201,12 @@ func TestCoordCrashRecoverySubprocess(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if metricValue(t, httpBase, "aaws_fabric_tasks_replayed_total") == 0 {
+	if metricValue(t, httpBase, "aaws_jobs_replayed_total") == 0 {
 		t.Fatal("restarted coordinator replayed nothing from the journal")
 	}
 
 	// Resubmit the same matrix: cells still in flight coalesce onto their
-	// replayed shards, cells that committed pre-crash are answered from the
+	// replayed jobs, cells that committed pre-crash are answered from the
 	// surviving disk cache. IDs come back in matrix order.
 	resp2, err := http.Post(httpBase+"/v1/sweeps", "application/json",
 		bytes.NewReader([]byte(`{"scale":1}`)))
@@ -270,25 +278,110 @@ func TestCoordCrashRecoverySubprocess(t *testing.T) {
 		t.Fatalf("recovered fingerprint %s != committed %s", got, want.Fingerprint)
 	}
 
-	// The WAL must be fully drained: every replayed task reached a terminal
+	// The WAL must be fully drained: every replayed job reached a terminal
 	// record in the new incarnation.
-	jresp, err := http.Get(httpBase + "/v1/journal")
+	if metricValue(t, httpBase, "aaws_journal_replayed_total") == 0 {
+		t.Fatal("journal reports zero replayed records after a crash restart")
+	}
+	if open := metricValue(t, httpBase, "aaws_journal_open_jobs"); open != 0 {
+		t.Fatalf("journal still has %v open jobs after the sweep drained", open)
+	}
+}
+
+// TestNodeDrainLeavesFleetJobsOpen: a coordinator node with no workers
+// keeps a job parked past its -job-timeout, and a graceful shutdown whose
+// drain times out leaves the job open in the journal, so the next start
+// replays it under the same ID and runs it once a worker registers.
+func TestNodeDrainLeavesFleetJobsOpen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drill is not -short material")
+	}
+	dir := t.TempDir()
+	bin := buildServe(t, dir)
+	httpPort, fabricPort := freePort(t), freePort(t)
+	httpBase := fmt.Sprintf("http://127.0.0.1:%d", httpPort)
+	fabricAddr := fmt.Sprintf("127.0.0.1:%d", fabricPort)
+	const jobTimeout = 2 * time.Second
+	args := []string{
+		"-addr", fmt.Sprintf("127.0.0.1:%d", httpPort),
+		"-fabric-addr", fabricAddr,
+		"-journal-dir", filepath.Join(dir, "journal"),
+		"-job-timeout", jobTimeout.String(),
+		"-drain-timeout", "200ms",
+	}
+	jobState := func(id string) string {
+		t.Helper()
+		resp, err := http.Get(httpBase + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			State string `json:"state"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.State
+	}
+
+	proc := startCoordProcess(t, bin, args, httpBase)
+	resp, err := http.Post(httpBase+"/v1/jobs", "application/json",
+		bytes.NewReader([]byte(`{"kernel":"cilksort","variant":"base+psm","seed":7,"scale":0.25}`)))
+	if err != nil {
+		_ = proc.Process.Kill()
+		t.Fatal(err)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		_ = proc.Process.Kill()
+		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
+	}
+	time.Sleep(jobTimeout + 500*time.Millisecond)
+	if st := jobState(sub.ID); st != "queued" && st != "running" {
+		_ = proc.Process.Kill()
+		t.Fatalf("parked job is %s after its -job-timeout with no workers", st)
+	}
+	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- proc.Wait() }()
+	select {
+	case <-exited:
+	case <-time.After(15 * time.Second):
+		_ = proc.Process.Kill()
+		t.Fatal("node did not exit after its drain timed out")
+	}
+
+	proc2 := startCoordProcess(t, bin, args, httpBase)
+	defer func() {
+		_ = proc2.Process.Kill()
+		_, _ = proc2.Process.Wait()
+	}()
+	ex := jobs.NewExecutor(jobs.Config{Workers: 1})
+	t.Cleanup(ex.Close)
+	w, err := fabric.NewWorker(fabric.WorkerConfig{Name: "late", CoordAddr: fabricAddr, Executor: ex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jm struct {
-		OpenJobs int
-		Replayed uint64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = w.Run(ctx) }()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(20 * time.Millisecond) {
+		st := jobState(sub.ID)
+		if st == "done" {
+			break
+		}
+		if st == "failed" || st == "canceled" || time.Now().After(deadline) {
+			t.Fatalf("replayed job is %s", st)
+		}
 	}
-	err = json.NewDecoder(jresp.Body).Decode(&jm)
-	jresp.Body.Close()
-	if err != nil || jresp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/journal: status %d, err %v", jresp.StatusCode, err)
-	}
-	if jm.Replayed == 0 {
-		t.Fatal("journal reports zero replayed records after a crash restart")
-	}
-	if jm.OpenJobs != 0 {
-		t.Fatalf("journal still has %d open jobs after the sweep drained", jm.OpenJobs)
+	if metricValue(t, httpBase, "aaws_jobs_replayed_total") != 1 {
+		t.Fatal("restarted node did not replay the job left open by the drain")
 	}
 }

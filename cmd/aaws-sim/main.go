@@ -95,12 +95,9 @@ func main() {
 	}
 
 	rep := res.Report
-	sysName := sys.String()
-	if *nBig > 0 {
-		sysName = fmt.Sprintf("%dB%dL", *nBig, *nLit)
-	}
-	if *topology != "" {
-		sysName = "topo " + core.FormatTopology(spec.Topology)
+	sysName := core.MachineName(spec)
+	if len(spec.Topology) > 0 {
+		sysName = "topo " + sysName
 	}
 	fmt.Printf("%s on %s under %s (seed %d, scale %.2f)\n", *kernel, sysName, v, *seed, *scale)
 	fmt.Printf("  result validated against serial reference: OK\n")

@@ -211,6 +211,19 @@ func ParseTopology(s string) ([]CoreClass, error) {
 	return out, nil
 }
 
+// MachineName names the machine spec simulates, in the form it was asked
+// for: the preset ("4B4L"), a custom mix ("2B6L"), or a topology's class
+// list in FormatTopology form.
+func MachineName(spec Spec) string {
+	switch {
+	case len(spec.Topology) > 0:
+		return FormatTopology(spec.Topology)
+	case spec.NBig > 0:
+		return fmt.Sprintf("%dB%dL", spec.NBig, spec.NLit)
+	}
+	return spec.System.String()
+}
+
 // FormatTopology renders a class list back to the CLI form parsed by
 // ParseTopology (zero speed/power prints as a bare count).
 func FormatTopology(topo []CoreClass) string {

@@ -15,31 +15,21 @@ import (
 	"aaws/internal/obs"
 )
 
-// ErrClosed is returned for submissions to a closed coordinator.
+// ErrClosed is returned for cells routed into a closed coordinator.
 var ErrClosed = errors.New("fabric: coordinator closed")
 
-// ErrNoWorkers marks a task failed because the coordinator shut down with
-// shards still waiting for a worker.
+// ErrNoWorkers fails a cell whose shard was still waiting for a worker when
+// the coordinator shut down.
 var ErrNoWorkers = errors.New("fabric: no workers available")
-
-// ErrUnknownTask is returned for task IDs the coordinator has never seen.
-var ErrUnknownTask = errors.New("fabric: unknown task")
 
 // CoordConfig parameterizes a Coordinator.
 type CoordConfig struct {
-	// Cache is the shared remote result tier every submission consults
-	// before any worker computes (nil = a default in-memory cache). Workers
-	// both read it (via the coordinator's HTTP cache endpoints) and fill it
-	// (every committed result is stored).
+	// Cache is the shared remote result tier every cell consults before any
+	// worker computes (nil = a default in-memory cache). Workers both read
+	// it (via the coordinator's HTTP cache endpoints) and fill it (every
+	// committed result is stored). A coordinator node shares it with the
+	// executor in front of the coordinator (see NewNode).
 	Cache jobs.CacheTier
-	// Store is the coordinator's write-ahead sweep journal (nil = memory
-	// only, no crash durability). Every accepted task is durably recorded
-	// (fsync) before Submit acknowledges it and marked done/failed as its
-	// shard commits, so a crashed coordinator can Recover the uncommitted
-	// remainder with preserved task IDs. The concrete implementation is the
-	// same segmented CRC-framed WAL aaws-serve journals jobs through
-	// (jobs.OpenJournal); rotation compacts fully-merged sweeps away.
-	Store jobs.Store
 	// HedgeDelay is how long a dispatched shard may go uncommitted before a
 	// hedged duplicate is dispatched to a second worker (default 1s;
 	// negative disables hedging).
@@ -60,18 +50,19 @@ type CoordConfig struct {
 	// a worker that stops draining its socket fails fast instead of wedging
 	// the sending goroutine until the heartbeat monitor notices.
 	WriteTimeout time.Duration
-	// MaxTasks bounds retained terminal tasks; the oldest are evicted
-	// (default 16384).
-	MaxTasks int
 	// Registry receives the aaws_fabric_* metrics (nil = a private one).
 	Registry *obs.Registry
 }
 
-// Coordinator shards content-addressed work across registered workers.
+// Coordinator is the fabric's shard router: it shards content-addressed
+// cells across registered workers and hands each cell's canonical bytes back
+// to the caller (CellBytes). It keeps no record of a cell once its bytes are
+// returned; job identity, queueing, journaling and retention belong to the
+// jobs.Executor it serves as a backend (NewNode).
 //
 // Routing is rendezvous-free and deterministic: the shard's spec hash
 // indexes the sorted list of live workers, so identical cells always route
-// to the same node while its local cache stays warm. Every submission first
+// to the same node while its local cache stays warm. Every cell first
 // consults the shared cache tier; in-flight shards coalesce by content
 // address (fabric-wide singleflight); committed results are duplicate-
 // suppressed (first result wins) so hedges and re-dispatches never commit
@@ -86,14 +77,20 @@ type Coordinator struct {
 	epochs    map[string]uint64 // highest epoch ever assigned per worker name
 	shards    map[string]*shard // uncommitted work by content address
 	waiting   []*shard          // shards with no live worker to run on
-	tasks     map[string]*Task
-	doneOrder []string // terminal task IDs, oldest first (retention GC)
 	latencies []float64
-	seq       uint64
 	epochSeq  uint64 // monotonic registration counter (never reused)
 	closed    bool
+	killed    bool
 	lns       []net.Listener
 	stopMon   chan struct{}
+	// emptySince is when the fleet last became empty (zero while a worker
+	// is registered); emptyTotal sums the earlier empty spells. Together
+	// they are the time cells spent parked, which no deadline counts.
+	emptySince time.Time
+	emptyTotal time.Duration
+	// onSlots, when set (NewNode), receives the fleet's total registered
+	// slots whenever membership changes. Called with c.mu held.
+	onSlots func(int)
 }
 
 // remoteWorker is one registered worker connection.
@@ -101,6 +98,7 @@ type remoteWorker struct {
 	name       string
 	epoch      uint64 // fence: frames must echo this registration's epoch
 	fc         *frameConn
+	acked      chan struct{} // closed once the hello_ack is sent (or failed)
 	slots      int
 	running    int
 	lastBeat   time.Time
@@ -110,11 +108,14 @@ type remoteWorker struct {
 }
 
 // shard is one uncommitted unit of fabric work: a content-addressed cell
-// plus every task coalesced onto it.
+// every concurrent caller of that cell waits on.
 type shard struct {
-	hash  string
-	spec  core.Spec
-	tasks []*Task
+	hash string
+	spec core.Spec
+	// done closes when the shard commits (data) or fails (err).
+	done chan struct{}
+	data []byte
+	err  error
 	// assigned maps worker name → dispatch time for every outstanding
 	// dispatch (primary + hedge).
 	assigned      map[string]time.Time
@@ -124,39 +125,6 @@ type shard struct {
 	hedged        bool
 	retryTimer    *time.Timer
 	parked        bool // on the waiting list (no live worker to run on)
-}
-
-// Task is one tracked fabric submission.
-type Task struct {
-	ID       string
-	SpecHash string
-	Spec     core.Spec
-
-	state     jobs.State
-	data      []byte
-	err       error
-	remoteHit bool // answered from the shared cache tier
-	replayed  bool // restored from the sweep journal after a crash
-	journaled bool // has a durable submit record (terminal state must be journaled too)
-	worker    string
-	submitted time.Time
-	finished  time.Time
-	done      chan struct{}
-}
-
-// TaskSnapshot is an immutable copy of a task's observable state.
-type TaskSnapshot struct {
-	ID        string
-	SpecHash  string
-	Spec      core.Spec
-	State     jobs.State
-	Data      []byte
-	Err       error
-	RemoteHit bool
-	Replayed  bool
-	Worker    string
-	Submitted time.Time
-	Finished  time.Time
 }
 
 // WorkerInfo is one worker's liveness snapshot.
@@ -193,9 +161,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 5 * time.Second
 	}
-	if cfg.MaxTasks <= 0 {
-		cfg.MaxTasks = 16384
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -207,28 +172,12 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		workers: make(map[string]*remoteWorker),
 		epochs:  make(map[string]uint64),
 		shards:  make(map[string]*shard),
-		tasks:   make(map[string]*Task),
 		stopMon: make(chan struct{}),
-	}
-	if cfg.Store != nil {
-		// Task IDs embed the submission sequence; resuming past the
-		// journal's high-water mark keeps recovered IDs unique forever.
-		c.seq = cfg.Store.MaxSeq()
+		// The fleet starts empty.
+		emptySince: time.Now(),
 	}
 	go c.monitor()
 	return c, nil
-}
-
-// Registry exposes the coordinator's metrics registry (for /metrics).
-func (c *Coordinator) Registry() *obs.Registry { return c.reg }
-
-// JournalMetrics reports the sweep journal's health (false when the
-// coordinator runs memory-only).
-func (c *Coordinator) JournalMetrics() (jobs.JournalMetrics, bool) {
-	if c.cfg.Store == nil {
-		return jobs.JournalMetrics{}, false
-	}
-	return c.cfg.Store.Metrics(), true
 }
 
 // Metrics returns the programmatic fabric-health snapshot.
@@ -244,11 +193,16 @@ func (c *Coordinator) ShardLatencies() []float64 {
 	return out
 }
 
-// WorkerCount returns the number of live registered workers.
-func (c *Coordinator) WorkerCount() int {
+// Degraded is a coordinator node's readiness check (jobs.ServerOptions.
+// Degraded): "no workers registered" while the fleet is empty — work is
+// still accepted and parks until a worker registers — else "".
+func (c *Coordinator) Degraded() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.workers)
+	if len(c.workers) == 0 {
+		return "no workers registered"
+	}
+	return ""
 }
 
 // Workers returns a liveness snapshot of every registered worker.
@@ -268,16 +222,6 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// CacheGet reads the shared result tier (the worker-facing HTTP endpoint).
-func (c *Coordinator) CacheGet(hash string) ([]byte, bool) {
-	return c.cfg.Cache.Get(hash)
-}
-
-// CachePut fills the shared result tier (worker write-through).
-func (c *Coordinator) CachePut(hash string, data []byte) {
-	c.cfg.Cache.Put(hash, data)
 }
 
 // Serve accepts worker registrations on ln until it closes. Run one per
@@ -323,6 +267,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	w := &remoteWorker{
 		name:       hello.Worker,
 		fc:         fc,
+		acked:      make(chan struct{}),
 		slots:      hello.Slots,
 		lastBeat:   time.Now(),
 		registered: time.Now(),
@@ -347,7 +292,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.epochs[w.name] = w.epoch
 	c.workers[w.name] = w
 	w.up.Set(1)
-	c.inst.workersConnected.Set(int64(len(c.workers)))
+	c.fleetChangedLocked()
 	// A new worker unblocks anything that had nowhere to run.
 	blocked := c.waiting
 	c.waiting = nil
@@ -356,7 +301,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	c.mu.Unlock()
 
-	if err := fc.write(Frame{Kind: KindHelloAck, Epoch: w.epoch}); err != nil {
+	err = fc.write(Frame{Kind: KindHelloAck, Epoch: w.epoch})
+	close(w.acked)
+	if err != nil {
 		c.failWorker(w)
 		return
 	}
@@ -391,80 +338,48 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 }
 
-// Submit routes one spec into the fabric: remote cache tier first, then
-// coalescing onto an in-flight shard, then a fresh dispatch.
-func (c *Coordinator) Submit(spec core.Spec) (*Task, error) {
+// route sends one cell into the fabric: the shared cache tier first (a hit
+// returns the bytes), then coalescing onto the in-flight shard for the same
+// content address, then a fresh dispatch. A miss returns the shard to wait
+// on; after Kill every cell gets a shard that never finishes.
+func (c *Coordinator) route(spec core.Spec) ([]byte, *shard, error) {
 	spec = jobs.Normalize(spec)
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hash, err := jobs.SpecHash(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.killed {
+		return nil, &shard{done: make(chan struct{})}, nil
+	}
 	if c.closed {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
-	c.seq++
-	t := &Task{
-		ID:        fmt.Sprintf("f-%s-%d", hash[:12], c.seq),
-		SpecHash:  hash,
-		Spec:      spec,
-		state:     jobs.StateQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	c.tasks[t.ID] = t
-	c.inst.tasksSubmitted.Inc()
-
-	// Shared cache tier first: a hit is a completed task with zero dispatch.
 	if data, ok := c.cfg.Cache.Get(hash); ok {
 		c.inst.remoteHits.Inc()
-		t.remoteHit = true
-		c.completeTaskLocked(t, data, nil, "")
-		return t, nil
+		return data, nil, nil
 	}
 	c.inst.remoteMisses.Inc()
-
-	// Durability point: the task is journaled (fsync) before Submit
-	// acknowledges it, so a crashed coordinator recovers it with the same
-	// ID. Cache hits above never reach here — an inline completion needs no
-	// crash story — and a journal write failure refuses the task rather
-	// than accepting work that could vanish.
-	if c.cfg.Store != nil {
-		if err := c.cfg.Store.Submit(jobs.Pending{
-			ID:       t.ID,
-			Seq:      c.seq,
-			SpecHash: hash,
-			Spec:     spec,
-			Class:    jobs.ClassSweep,
-		}); err != nil {
-			delete(c.tasks, t.ID)
-			return nil, fmt.Errorf("fabric: journaling task: %w", err)
-		}
-		t.journaled = true
-	}
-
 	// Fabric-wide singleflight: coalesce onto the in-flight shard.
 	if sh := c.shards[hash]; sh != nil {
-		sh.tasks = append(sh.tasks, t)
 		c.inst.coalesced.Inc()
-		return t, nil
+		return nil, sh, nil
 	}
-
 	sh := &shard{
 		hash:     hash,
 		spec:     spec,
-		tasks:    []*Task{t},
+		done:     make(chan struct{}),
 		assigned: make(map[string]time.Time),
 	}
 	c.shards[hash] = sh
 	c.inst.shardsInflight.Set(int64(len(c.shards)))
 	c.dispatchLocked(sh)
-	return sh.tasks[0], nil
+	return nil, sh, nil
 }
 
 // liveNamesLocked returns the sorted live worker names.
@@ -547,6 +462,9 @@ func (c *Coordinator) dispatchLocked(sh *shard) {
 	// the whole worker — its reader goroutine is about to find out anyway.
 	frame := Frame{Kind: KindDispatch, Shard: sh.hash, Spec: &sh.spec}
 	go func() {
+		// A worker expects its hello_ack before anything else; shards
+		// unparked by its own registration must not overtake it.
+		<-w.acked
 		if err := w.fc.write(frame); err != nil {
 			c.failWorker(w)
 		}
@@ -575,6 +493,9 @@ func (c *Coordinator) hedge(hash string) {
 func (c *Coordinator) handleResult(w *remoteWorker, f Frame) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return // a killed router commits nothing more
+	}
 	if c.workers[w.name] != w || f.Epoch != w.epoch {
 		// Epoch fence: a result from a superseded registration — a zombie
 		// behind a healed partition racing its replacement — must not
@@ -617,11 +538,7 @@ func (c *Coordinator) handleResult(w *remoteWorker, f Frame) {
 		// Simulation failure: deterministic, so every node would fail the
 		// same way. Fail the shard.
 		c.inst.shardsFailed.Inc()
-		c.removeShardLocked(sh)
-		err := fmt.Errorf("fabric: worker %s: %s", w.name, f.Error)
-		for _, t := range sh.tasks {
-			c.completeTaskLocked(t, nil, err, w.name)
-		}
+		c.finishShardLocked(sh, nil, fmt.Errorf("fabric: worker %s: %s", w.name, f.Error))
 		return
 	}
 
@@ -640,13 +557,10 @@ func (c *Coordinator) handleResult(w *remoteWorker, f Frame) {
 			c.latencies = append(c.latencies, lat)
 		}
 	}
-	c.removeShardLocked(sh)
-	// Fill the shared tier so every future submission — from any node — is
-	// a remote hit.
+	// Fill the shared tier so every future cell — from any node — is a
+	// remote hit.
 	c.cfg.Cache.Put(sh.hash, f.Data)
-	for _, t := range sh.tasks {
-		c.completeTaskLocked(t, f.Data, nil, w.name)
-	}
+	c.finishShardLocked(sh, f.Data, nil)
 }
 
 // removeShardLocked takes sh out of the in-flight map and stops its timers.
@@ -663,39 +577,12 @@ func (c *Coordinator) removeShardLocked(sh *shard) {
 	}
 }
 
-// completeTaskLocked finalizes one task. Caller holds c.mu.
-func (c *Coordinator) completeTaskLocked(t *Task, data []byte, err error, worker string) {
-	if t.state.Terminal() {
-		return
-	}
-	t.finished = time.Now()
-	t.worker = worker
-	if err == nil {
-		t.state = jobs.StateDone
-		t.data = data
-		c.inst.tasksCompleted.Inc()
-	} else {
-		t.state = jobs.StateFailed
-		t.err = err
-		c.inst.tasksFailed.Inc()
-	}
-	// Journal the terminal state so compaction can drop the record. Skipped
-	// during Close: tasks failed with ErrNoWorkers at shutdown are not
-	// resolved, and leaving their submit records open is what lets the next
-	// incarnation Recover them.
-	if c.cfg.Store != nil && t.journaled && !c.closed {
-		if err == nil {
-			c.cfg.Store.Done(t.ID, jobs.ResultHash(data))
-		} else {
-			c.cfg.Store.Fail(t.ID, err.Error())
-		}
-	}
-	close(t.done)
-	c.doneOrder = append(c.doneOrder, t.ID)
-	for len(c.doneOrder) > c.cfg.MaxTasks {
-		delete(c.tasks, c.doneOrder[0])
-		c.doneOrder = c.doneOrder[1:]
-	}
+// finishShardLocked removes sh and releases every caller waiting on it.
+// Caller holds c.mu.
+func (c *Coordinator) finishShardLocked(sh *shard, data []byte, err error) {
+	c.removeShardLocked(sh)
+	sh.data, sh.err = data, err
+	close(sh.done)
 }
 
 // failWorker drops w from the fleet (if it is still the registered
@@ -712,7 +599,7 @@ func (c *Coordinator) failWorkerLocked(w *remoteWorker) {
 	}
 	delete(c.workers, w.name)
 	w.up.Set(0)
-	c.inst.workersConnected.Set(int64(len(c.workers)))
+	c.fleetChangedLocked()
 	c.inst.workerFailures.Inc()
 	_ = w.fc.close()
 	// Anything outstanding on the dead worker re-routes. Shards that were
@@ -727,6 +614,38 @@ func (c *Coordinator) failWorkerLocked(w *remoteWorker) {
 			c.dispatchLocked(sh)
 		}
 	}
+}
+
+// fleetChangedLocked follows a change in fleet membership: the connected
+// gauge, the empty-fleet clock, and the node's slot count. Caller holds c.mu.
+func (c *Coordinator) fleetChangedLocked() {
+	c.inst.workersConnected.Set(int64(len(c.workers)))
+	switch empty := len(c.workers) == 0; {
+	case empty && c.emptySince.IsZero():
+		c.emptySince = time.Now()
+	case !empty && !c.emptySince.IsZero():
+		c.emptyTotal += time.Since(c.emptySince)
+		c.emptySince = time.Time{}
+	}
+	if c.onSlots != nil {
+		slots := 0
+		for _, w := range c.workers {
+			slots += w.slots
+		}
+		c.onSlots(slots)
+	}
+}
+
+// parkedTime returns how long the fleet has been empty in total: the time
+// any cell waiting on it spent parked.
+func (c *Coordinator) parkedTime() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.emptyTotal
+	if !c.emptySince.IsZero() {
+		d += time.Since(c.emptySince)
+	}
+	return d
 }
 
 // monitor fails workers that stop heartbeating.
@@ -758,51 +677,6 @@ func (c *Coordinator) monitor() {
 	}
 }
 
-// Get returns a snapshot of the task.
-func (c *Coordinator) Get(id string) (TaskSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.tasks[id]
-	if t == nil {
-		return TaskSnapshot{}, ErrUnknownTask
-	}
-	return c.snapshotLocked(t), nil
-}
-
-// Wait blocks until the task reaches a terminal state or ctx expires.
-func (c *Coordinator) Wait(ctx context.Context, id string) (TaskSnapshot, error) {
-	c.mu.Lock()
-	t := c.tasks[id]
-	c.mu.Unlock()
-	if t == nil {
-		return TaskSnapshot{}, ErrUnknownTask
-	}
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		return TaskSnapshot{}, ctx.Err()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshotLocked(t), nil
-}
-
-func (c *Coordinator) snapshotLocked(t *Task) TaskSnapshot {
-	return TaskSnapshot{
-		ID:        t.ID,
-		SpecHash:  t.SpecHash,
-		Spec:      t.Spec,
-		State:     t.state,
-		Data:      t.data,
-		Err:       t.err,
-		RemoteHit: t.remoteHit,
-		Replayed:  t.replayed,
-		Worker:    t.worker,
-		Submitted: t.submitted,
-		Finished:  t.finished,
-	}
-}
-
 // WorkerEpoch returns the current registration epoch for a worker name, and
 // whether the name has ever registered. HTTP cache fills are fenced with it:
 // a fill stamped with a lower epoch comes from a superseded connection.
@@ -816,59 +690,130 @@ func (c *Coordinator) WorkerEpoch(name string) (uint64, bool) {
 // CellBytes runs every spec through the fabric and returns each cell's
 // canonical outcome bytes in input order — the merge primitive: determinism
 // plus canonical encoding make the concatenation bit-identical to a
-// single-node run.
+// single-node run. Every cell is routed before any is awaited, so one call
+// spreads its cells across the whole fleet. Nothing of a call outlives it:
+// a canceled wait leaves its shards running, and their results still fill
+// the shared tier.
+//
+// Time the fleet spends empty — cells parked for want of a worker — does
+// not count against a jobs.Executor job's deadline: for a job's context
+// the wait ends on cancellation (jobs.CancelOnly) or once the job has spent
+// its timeout with workers present. Any other ctx bounds the wait as is.
 func (c *Coordinator) CellBytes(ctx context.Context, specs []core.Spec) ([][]byte, error) {
-	ids := make([]string, len(specs))
-	for i, spec := range specs {
-		t, err := c.Submit(spec)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: submitting cell %d: %w", i, err)
-		}
-		ids[i] = t.ID
-	}
 	out := make([][]byte, len(specs))
-	for i, id := range ids {
-		snap, err := c.Wait(ctx, id)
+	pending := make([]*shard, len(specs))
+	for i, spec := range specs {
+		data, sh, err := c.route(spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fabric: routing cell %d: %w", i, err)
 		}
-		if snap.State != jobs.StateDone {
-			return nil, fmt.Errorf("fabric: cell %d %s: %w", i, snap.State, snap.Err)
+		out[i], pending[i] = data, sh
+	}
+	canceled := jobs.CancelOnly(ctx)
+	deadline, hasDeadline := ctx.Deadline()
+	var parked time.Duration
+	if hasDeadline {
+		parked = c.parkedTime()
+	}
+	for i, sh := range pending {
+		if sh == nil {
+			continue
 		}
-		out[i] = snap.Data
+		for waiting := true; waiting; {
+			var expire <-chan time.Time
+			var timer *time.Timer
+			if hasDeadline {
+				left := time.Until(deadline.Add(c.parkedTime() - parked))
+				if left <= 0 {
+					return nil, context.DeadlineExceeded
+				}
+				timer = time.NewTimer(left)
+				expire = timer.C
+			}
+			select {
+			case <-sh.done:
+				waiting = false
+			case <-canceled.Done():
+				return nil, canceled.Err()
+			case <-expire:
+				// Re-check: the fleet may have been empty meanwhile.
+			}
+			if timer != nil {
+				timer.Stop()
+			}
+		}
+		if sh.err != nil {
+			return nil, fmt.Errorf("fabric: cell %d: %w", i, sh.err)
+		}
+		out[i] = sh.data
 	}
 	return out, nil
 }
 
-// BatchRunner adapts the fabric to core.SweepOptions.RunAll: the merge-on-
-// complete path. Results come back in input order, reconstructed from
-// canonical bytes, so a fabric sweep plugs into Figure-8 tables, conformance
-// checks, and fingerprints exactly like a local one.
-func (c *Coordinator) BatchRunner(ctx context.Context) func([]core.Spec) ([]core.Result, error) {
-	return func(specs []core.Spec) ([]core.Result, error) {
-		cells, err := c.CellBytes(ctx, specs)
-		if err != nil {
-			return nil, err
-		}
-		results := make([]core.Result, len(specs))
-		for i, data := range cells {
-			out, err := jobs.DecodeOutcome(data)
-			if err != nil {
-				return nil, fmt.Errorf("fabric: decoding cell %d: %w", i, err)
-			}
-			results[i] = out.ToResult(jobs.Normalize(specs[i]))
-		}
-		return results, nil
+// RunBatch is CellBytes decoded back into results (each reconstructed from
+// its canonical bytes), so its output is interchangeable with a local
+// core.RunBatchCtx: the executor backend of a coordinator node (NewNode),
+// and a core.SweepOptions.RunAll through a closure over ctx.
+func (c *Coordinator) RunBatch(ctx context.Context, specs []core.Spec) ([]core.Result, error) {
+	cells, err := c.CellBytes(ctx, specs)
+	if err != nil {
+		return nil, err
 	}
+	results := make([]core.Result, len(specs))
+	for i, data := range cells {
+		out, err := jobs.DecodeOutcome(data)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: decoding cell %d: %w", i, err)
+		}
+		results[i] = out.ToResult(jobs.Normalize(specs[i]))
+	}
+	return results, nil
 }
 
 // Close stops the coordinator: listeners close, workers disconnect, and
-// every pending task fails with ErrClosed.
+// every caller still waiting on a shard fails with ErrNoWorkers.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if !c.shutdownLocked() {
 		return
+	}
+	c.waiting = nil // every parked shard is in c.shards too
+	for _, sh := range c.shards {
+		c.finishShardLocked(sh, nil, ErrNoWorkers)
+	}
+}
+
+// Kill crashes the coordinator in place: listeners and worker connections
+// close and the monitor stops, but — unlike Close — no waiting caller is
+// released, no late result commits, and every later cell waits like one
+// sent to a dead process: until its caller gives up, with no deadline
+// running (the fleet is empty). It models SIGKILL for in-process chaos
+// drills and ends a coordinator node's drain: the executor in front of it
+// writes nothing more to its journal, leaving it exactly as a real crash
+// would.
+func (c *Coordinator) Kill() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.shutdownLocked() {
+		return
+	}
+	c.killed = true
+	for _, sh := range c.shards {
+		if sh.hedgeTimer != nil {
+			sh.hedgeTimer.Stop()
+		}
+		if sh.retryTimer != nil {
+			sh.retryTimer.Stop()
+		}
+	}
+}
+
+// shutdownLocked marks the coordinator closed and drops the fleet; it
+// reports false when the coordinator was already closed. Caller holds c.mu.
+func (c *Coordinator) shutdownLocked() bool {
+	if c.closed {
+		return false
 	}
 	c.closed = true
 	close(c.stopMon)
@@ -880,18 +825,6 @@ func (c *Coordinator) Close() {
 		w.up.Set(0)
 	}
 	c.workers = make(map[string]*remoteWorker)
-	c.inst.workersConnected.Set(0)
-	var pending []*shard
-	for _, sh := range c.shards {
-		pending = append(pending, sh)
-	}
-	pending = append(pending, c.waiting...)
-	c.waiting = nil
-	for _, sh := range pending {
-		c.removeShardLocked(sh)
-		for _, t := range sh.tasks {
-			c.completeTaskLocked(t, nil, ErrNoWorkers, "")
-		}
-	}
-	c.mu.Unlock()
+	c.fleetChangedLocked()
+	return true
 }

@@ -3,7 +3,6 @@ package fabric_test
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"aaws/internal/fabric"
-	"aaws/internal/jobs"
 )
 
 // rawWorker is a protocol-level worker impersonation for fence tests: it
@@ -82,10 +80,7 @@ func TestEpochFenceRejectsStaleResult(t *testing.T) {
 	zombie, e1 := dialRawWorker(t, addr, "z")
 
 	spec := fabricSpec(1)
-	task, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := cellAsync(coord, spec)
 	disp := zombie.read()
 	if disp.Kind != fabric.KindDispatch {
 		t.Fatalf("expected dispatch, got %s", disp.Kind)
@@ -117,27 +112,17 @@ func TestEpochFenceRejectsStaleResult(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if snap, err := coord.Get(task.ID); err != nil {
-		t.Fatal(err)
-	} else if snap.State.Terminal() {
-		t.Fatalf("stale-epoch result committed the shard (state %s)", snap.State)
+	if m := coord.Metrics(); m.ShardsCompleted != 0 || m.ShardsInflight != 1 {
+		t.Fatalf("stale-epoch result committed the shard: %+v", m)
 	}
+	pending(cell)
 
 	// The current epoch's result commits, with the correct bytes.
 	fresh.write(fabric.Frame{
 		Kind: fabric.KindResult, Worker: "z", Epoch: e2,
 		Shard: disp.Shard, Data: stubBytes(t, spec),
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := coord.Wait(ctx, task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != jobs.StateDone {
-		t.Fatalf("task %s: %v", snap.State, snap.Err)
-	}
-	if !bytes.Equal(snap.Data, stubBytes(t, spec)) {
+	if !bytes.Equal(awaitCell(t, cell), stubBytes(t, spec)) {
 		t.Fatal("committed bytes are not the correct cell")
 	}
 	m := coord.Metrics()
@@ -222,47 +207,5 @@ func TestCacheFillEpochFence(t *testing.T) {
 	}
 	if code := put("not-a-number"); code != http.StatusBadRequest {
 		t.Fatalf("garbage epoch header: %d, want 400", code)
-	}
-}
-
-// TestReplayPhaseRejectsSubmissions pins the /readyz journal-replay
-// contract: while the coordinator replays its sweep journal, submissions
-// get 503 + Retry-After and readiness reports the phase; both clear when
-// replay finishes.
-func TestReplayPhaseRejectsSubmissions(t *testing.T) {
-	coord, _ := startCoord(t, fabric.CoordConfig{HedgeDelay: -1})
-	api := fabric.NewHTTP(coord, fabric.HTTPOptions{})
-	srv := httptest.NewServer(api)
-	t.Cleanup(srv.Close)
-
-	api.SetPhase("journal-replay")
-	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader([]byte(`{}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("sweep during replay: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 during replay carries no Retry-After")
-	}
-	ready, err := http.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready.Body.Close()
-	if ready.StatusCode == http.StatusOK {
-		t.Fatal("/readyz reports ready mid-replay")
-	}
-
-	api.SetPhase("")
-	resp2, err := http.Post(srv.URL+"/v1/sweeps", "application/json", bytes.NewReader([]byte(`{"kernels":["cilksort"],"variants":["base"],"scale":0.01}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("sweep after replay: %d, want 202", resp2.StatusCode)
 	}
 }

@@ -96,6 +96,53 @@ func startCoord(t *testing.T, cfg fabric.CoordConfig) (*fabric.Coordinator, stri
 	return coord, ln.Addr().String()
 }
 
+// cellAsync routes one cell through CellBytes in the background; the
+// channel yields its bytes or error.
+func cellAsync(coord *fabric.Coordinator, spec core.Spec) <-chan cellResult {
+	ch := make(chan cellResult, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cells, err := coord.CellBytes(ctx, []core.Spec{spec})
+		r := cellResult{err: err}
+		if err == nil {
+			r.data = cells[0]
+		}
+		ch <- r
+	}()
+	return ch
+}
+
+type cellResult struct {
+	data []byte
+	err  error
+}
+
+// awaitCell waits for a cellAsync result and fails the test on an error.
+func awaitCell(t *testing.T, ch <-chan cellResult) []byte {
+	t.Helper()
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.data
+	case <-time.After(30 * time.Second):
+		t.Fatal("cell never completed")
+		return nil
+	}
+}
+
+// pending reports whether a cellAsync result is still outstanding.
+func pending(ch <-chan cellResult) bool {
+	select {
+	case r := <-ch:
+		panic(fmt.Sprintf("cell finished early: %d bytes, err %v", len(r.data), r.err))
+	default:
+		return true
+	}
+}
+
 // startWorker connects a named worker with its own executor to the
 // coordinator and waits for registration. The returned cancel kills the
 // worker's connection (fail-stop).
@@ -309,8 +356,8 @@ func TestFabricFailstopBitIdentity(t *testing.T) {
 	if m.Redispatches == 0 {
 		t.Fatalf("no shards were re-dispatched off the dead worker: %+v", m)
 	}
-	if m.TasksCompleted != uint64(len(specs)) {
-		t.Fatalf("completed %d tasks, want %d", m.TasksCompleted, len(specs))
+	if m.ShardsCompleted != uint64(len(specs)) {
+		t.Fatalf("committed %d shards, want %d", m.ShardsCompleted, len(specs))
 	}
 }
 
@@ -344,25 +391,11 @@ func TestFabricHedgeFirstResultWins(t *testing.T) {
 	}})
 
 	spec := fabricSpec(seedRoutedTo(t, 1, 2)) // primary = slow
-	task, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := coord.Wait(ctx, task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != jobs.StateDone {
-		t.Fatalf("task %s: %v", snap.State, snap.Err)
-	}
-	if snap.Worker != "fast" {
-		t.Fatalf("committed by %q, want the hedge target", snap.Worker)
-	}
-	if !bytes.Equal(snap.Data, stubBytes(t, spec)) {
+	if !bytes.Equal(awaitCell(t, cellAsync(coord, spec)), stubBytes(t, spec)) {
 		t.Fatal("hedged result bytes differ")
 	}
+	// The slow primary is still stalled, so the commit is the hedge's: a
+	// hedge win is a commit by a worker other than the primary.
 	m := coord.Metrics()
 	if m.HedgesFired == 0 || m.HedgeWins == 0 {
 		t.Fatalf("hedge not recorded: fired=%d wins=%d", m.HedgesFired, m.HedgeWins)
@@ -431,10 +464,7 @@ func TestFabricPartitionRedispatch(t *testing.T) {
 	}})
 
 	spec := fabricSpec(seedRoutedTo(t, 0, 2)) // primary = the fake worker "a"
-	task, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := cellAsync(coord, spec)
 	select {
 	case f := <-dispatched:
 		if f.Shard != specHash(t, spec) {
@@ -444,19 +474,9 @@ func TestFabricPartitionRedispatch(t *testing.T) {
 		t.Fatal("shard never dispatched to the partitioned worker")
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := coord.Wait(ctx, task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != jobs.StateDone {
-		t.Fatalf("task %s: %v", snap.State, snap.Err)
-	}
-	if snap.Worker != "b" {
-		t.Fatalf("committed by %q, want the live worker", snap.Worker)
-	}
-	if !bytes.Equal(snap.Data, stubBytes(t, spec)) {
+	// The fake worker never answers, so the committed bytes are the live
+	// worker's.
+	if !bytes.Equal(awaitCell(t, cell), stubBytes(t, spec)) {
 		t.Fatal("re-dispatched result bytes differ")
 	}
 	m := coord.Metrics()
@@ -482,29 +502,22 @@ func TestFabricParksWithNoWorkers(t *testing.T) {
 		HeartbeatTimeout: 10 * time.Second,
 	})
 	spec := fabricSpec(1)
-	task, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	cell := cellAsync(coord, spec)
+	for coord.Metrics().ShardsInflight == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if snap, _ := coord.Get(task.ID); snap.State.Terminal() {
-		t.Fatalf("task terminal (%s) with no workers", snap.State)
-	}
+	time.Sleep(20 * time.Millisecond)
+	pending(cell) // parked, not failed, with no workers
 	startWorker(t, addr, "late", jobs.Config{Workers: 1, Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
 		return stubResult(spec), nil
 	}})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := coord.Wait(ctx, task.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != jobs.StateDone {
-		t.Fatalf("parked task %s: %v", snap.State, snap.Err)
+	if !bytes.Equal(awaitCell(t, cell), stubBytes(t, spec)) {
+		t.Fatal("parked cell bytes differ")
 	}
 }
 
 // TestFabricSingleflight submits the same spec twice while the only worker
-// is stalled: both tasks must coalesce onto one shard and complete together
+// is stalled: both calls must coalesce onto one shard and complete together
 // from one execution.
 func TestFabricSingleflight(t *testing.T) {
 	coord, addr := startCoord(t, fabric.CoordConfig{
@@ -520,24 +533,21 @@ func TestFabricSingleflight(t *testing.T) {
 		return stubResult(spec), nil
 	}})
 	spec := fabricSpec(9)
-	t1, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	c1 := cellAsync(coord, spec)
+	for coord.Metrics().ShardsInflight == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	t2, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	c2 := cellAsync(coord, spec)
+	for coord.Metrics().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
 	}
 	if m := coord.Metrics(); m.Coalesced != 1 {
 		t.Fatalf("coalesced = %d, want 1", m.Coalesced)
 	}
 	close(gate)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, id := range []string{t1.ID, t2.ID} {
-		snap, err := coord.Wait(ctx, id)
-		if err != nil || snap.State != jobs.StateDone {
-			t.Fatalf("coalesced task %s: %v %v", id, snap.State, err)
+	for _, c := range []<-chan cellResult{c1, c2} {
+		if !bytes.Equal(awaitCell(t, c), stubBytes(t, spec)) {
+			t.Fatal("coalesced cell bytes differ")
 		}
 	}
 	if m := coord.Metrics(); m.ShardsCompleted != 1 {
@@ -570,10 +580,7 @@ func TestWorkerForgetsReportedShards(t *testing.T) {
 	<-w.Ready()
 
 	spec := fabricSpec(3)
-	task, err := coord.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := cellAsync(coord, spec)
 	// The fresh executor's first job is the shard: hash prefix, sequence 1.
 	id := specHash(t, spec)[:12] + "-1"
 	for {
@@ -586,9 +593,7 @@ func TestWorkerForgetsReportedShards(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
-	if snap, err := coord.Wait(ctx, task.ID); err != nil || snap.State != jobs.StateDone {
-		t.Fatalf("task: %v %v", snap.State, err)
-	}
+	awaitCell(t, cell)
 	// The result frame is written before the job is forgotten, so the
 	// coordinator can see the result a moment before the worker forgets.
 	for {
@@ -600,5 +605,27 @@ func TestWorkerForgetsReportedShards(t *testing.T) {
 			t.Fatalf("reported shard job %s still known to the worker: %v", id, err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKilledCoordinatorNeverAnswers: after Kill a cell neither fails nor
+// completes — like one sent to a dead process — until its caller gives up.
+func TestKilledCoordinatorNeverAnswers(t *testing.T) {
+	coord, _ := startCoord(t, fabric.CoordConfig{HedgeDelay: -1})
+	coord.Kill()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.CellBytes(ctx, []core.Spec{fabricSpec(1)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("killed coordinator answered: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled wait returned %v, want context.Canceled", err)
 	}
 }

@@ -2,19 +2,16 @@ package fabric_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"aaws/internal/fabric"
-	"aaws/internal/jobs"
 )
 
 // startHTTP wires a coordinator behind its HTTP API on a real listener.
@@ -73,87 +70,6 @@ func TestCachePutValidation(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Equal(got, good) {
 		t.Fatal("cache GET returned different bytes than the fill")
-	}
-}
-
-// TestReadyzDegradedUntilWorker: a coordinator with no fleet must advertise
-// degraded readiness, flipping to ready on first registration.
-func TestReadyzDegradedUntilWorker(t *testing.T) {
-	_, fabricAddr, base := startHTTP(t, fabric.CoordConfig{HedgeDelay: -1})
-
-	resp, err := http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("empty fleet readyz: %d, want 503", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "no workers registered") {
-		t.Fatalf("degraded readyz body: %s", body)
-	}
-
-	startWorker(t, fabricAddr, "w", jobs.Config{Workers: 1})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("readyz still %d after registration", resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestHTTPSubmitAndPoll drives a job through the coordinator's HTTP API the
-// way aaws-loadgen does: POST /v1/jobs then poll with ?wait_ms.
-func TestHTTPSubmitAndPoll(t *testing.T) {
-	_, fabricAddr, base := startHTTP(t, fabric.CoordConfig{HedgeDelay: -1})
-	startWorker(t, fabricAddr, "w", jobs.Config{Workers: 1})
-
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kernel":"cilksort","variant":"base+psm","seed":7}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit: %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(base + "/v1/jobs/" + sub.ID + "?wait_ms=10000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		State      string `json:"state"`
-		Worker     string `json:"worker"`
-		ResultHash string `json:"result_hash"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.State != "done" {
-		t.Fatalf("task state %q", st.State)
-	}
-	if st.Worker != "w" || st.ResultHash == "" {
-		t.Fatalf("status missing fabric fields: %+v", st)
 	}
 }
 

@@ -12,12 +12,9 @@ var shardLatencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 
 type instruments struct {
 	shardLatency *obs.Histogram // first dispatch → committed result
 
-	tasksSubmitted *obs.Counter
-	tasksCompleted *obs.Counter
-	tasksFailed    *obs.Counter
-	remoteHits     *obs.Counter // submissions answered from the shared cache tier
-	remoteMisses   *obs.Counter
-	coalesced      *obs.Counter // submissions collapsed onto an in-flight shard
+	remoteHits   *obs.Counter // cells answered from the shared cache tier
+	remoteMisses *obs.Counter
+	coalesced    *obs.Counter // cells collapsed onto an in-flight shard
 
 	dispatched      *obs.Counter
 	shardsCompleted *obs.Counter
@@ -30,7 +27,6 @@ type instruments struct {
 	workerFailures  *obs.Counter // connections dropped or heartbeats timed out
 	workerCacheHits *obs.Counter // results the worker answered from its cache
 
-	tasksReplayed    *obs.Counter // tasks restored from the sweep journal after a crash
 	staleEpochFrames *obs.Counter // frames rejected by the registration-epoch fence
 	staleCacheFills  *obs.Counter // HTTP cache fills rejected by the epoch fence
 
@@ -41,9 +37,6 @@ type instruments struct {
 func newInstruments(reg *obs.Registry) *instruments {
 	return &instruments{
 		shardLatency:     reg.Histogram("aaws_fabric_shard_latency_seconds", shardLatencyBuckets),
-		tasksSubmitted:   reg.Counter("aaws_fabric_tasks_submitted_total"),
-		tasksCompleted:   reg.Counter("aaws_fabric_tasks_completed_total"),
-		tasksFailed:      reg.Counter("aaws_fabric_tasks_failed_total"),
 		remoteHits:       reg.Counter("aaws_fabric_remote_cache_hits_total"),
 		remoteMisses:     reg.Counter("aaws_fabric_remote_cache_misses_total"),
 		coalesced:        reg.Counter("aaws_fabric_coalesced_total"),
@@ -57,7 +50,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		workerRetries:    reg.Counter("aaws_fabric_worker_retries_total"),
 		workerFailures:   reg.Counter("aaws_fabric_worker_failures_total"),
 		workerCacheHits:  reg.Counter("aaws_fabric_worker_cache_hits_total"),
-		tasksReplayed:    reg.Counter("aaws_fabric_tasks_replayed_total"),
 		staleEpochFrames: reg.Counter("aaws_fabric_stale_epoch_frames_total"),
 		staleCacheFills:  reg.Counter("aaws_fabric_stale_cache_fills_total"),
 		workersConnected: reg.IntGauge("aaws_fabric_workers_connected"),
@@ -69,9 +61,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 // sibling of the aaws_fabric_* series (the selftest harness and loadgen
 // reports read it directly).
 type Metrics struct {
-	TasksSubmitted  uint64
-	TasksCompleted  uint64
-	TasksFailed     uint64
 	RemoteHits      uint64
 	RemoteMisses    uint64
 	Coalesced       uint64
@@ -85,11 +74,9 @@ type Metrics struct {
 	WorkerRetries   uint64
 	WorkerFailures  uint64
 	WorkerCacheHits uint64
-	// Replayed counts tasks restored from the sweep journal by Recover;
 	// StaleEpochFrames and StaleCacheFills count zombie traffic rejected by
 	// the registration-epoch fence (wire frames and HTTP cache fills
 	// respectively).
-	Replayed         uint64
 	StaleEpochFrames uint64
 	StaleCacheFills  uint64
 	Workers          int
@@ -98,9 +85,6 @@ type Metrics struct {
 
 func (in *instruments) snapshot() Metrics {
 	return Metrics{
-		TasksSubmitted:   in.tasksSubmitted.Value(),
-		TasksCompleted:   in.tasksCompleted.Value(),
-		TasksFailed:      in.tasksFailed.Value(),
 		RemoteHits:       in.remoteHits.Value(),
 		RemoteMisses:     in.remoteMisses.Value(),
 		Coalesced:        in.coalesced.Value(),
@@ -114,7 +98,6 @@ func (in *instruments) snapshot() Metrics {
 		WorkerRetries:    in.workerRetries.Value(),
 		WorkerFailures:   in.workerFailures.Value(),
 		WorkerCacheHits:  in.workerCacheHits.Value(),
-		Replayed:         in.tasksReplayed.Value(),
 		StaleEpochFrames: in.staleEpochFrames.Value(),
 		StaleCacheFills:  in.staleCacheFills.Value(),
 		Workers:          int(in.workersConnected.Value()),

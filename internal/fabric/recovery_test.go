@@ -43,12 +43,13 @@ func startReconnectingWorker(t *testing.T, coordAddr, name string, cfg jobs.Conf
 	}
 }
 
-// TestCoordinatorCrashRecoveryBitIdentity is the tentpole acceptance check
-// at test granularity: the coordinator is killed mid-sweep (no graceful
-// journal finalization), a fresh incarnation replays the journal on the
+// TestCoordinatorCrashRecoveryBitIdentity is the crash drill at test
+// granularity: a coordinator node — executor over coordinator — is killed
+// mid-sweep (the executor abandoned, the coordinator Killed: no graceful
+// journal finalization), a fresh pair replays the executor's journal on the
 // same address with the same disk cache, the fleet reconnects on its own,
-// and the drained sweep is bit-identical to the uninterrupted run — with
-// task IDs preserved across the crash and no duplicate shard commits.
+// and the drained sweep is bit-identical to the uninterrupted run — with job
+// IDs preserved across the crash and no duplicate shard commits.
 func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 	dir := t.TempDir()
 	journalDir := filepath.Join(dir, "journal")
@@ -72,12 +73,12 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord1, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache: cache1, Store: store1,
+	coordCfg := fabric.CoordConfig{
 		HedgeDelay:       -1, // no hedging: zero duplicates is assertable
 		HeartbeatTimeout: 2 * time.Second,
 		RetryBackoff:     20 * time.Millisecond,
-	})
+	}
+	ex1, coord1, err := fabric.NewNode(jobs.Config{Workers: 4, Cache: cache1, Journal: store1}, coordCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
-		task, err := coord1.Submit(spec)
+		job, err := ex1.Submit(spec, jobs.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = task.ID
+		ids[i] = job.ID
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for coord1.Metrics().ShardsCompleted < 5 {
@@ -116,9 +117,11 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The crash: connections drop, no task resolution, no terminal journal
-	// records — exactly what SIGKILL leaves behind. The journal file handle
-	// stays open (harmless on POSIX) just as a real kill would abandon it.
+	// The crash: connections drop, no job resolution, no terminal journal
+	// records — exactly what SIGKILL leaves behind. The first executor is
+	// abandoned with its jobs still waiting on the dead coordinator, and the
+	// journal file handle stays open (harmless on POSIX) just as a real
+	// kill would leave it.
 	coord1.Kill()
 	killedAt := coord1.Metrics().ShardsCompleted
 
@@ -137,15 +140,11 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord2, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache: cache2, Store: store2,
-		HedgeDelay:       -1,
-		HeartbeatTimeout: 2 * time.Second,
-		RetryBackoff:     20 * time.Millisecond,
-	})
+	ex2, coord2, err := fabric.NewNode(jobs.Config{Workers: 4, Cache: cache2, Journal: store2}, coordCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ex2.Close)
 	t.Cleanup(coord2.Close)
 	var ln2 net.Listener
 	for rebind := time.Now().Add(10 * time.Second); ; {
@@ -160,33 +159,33 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 	}
 	go coord2.Serve(ln2)
 
-	n, err := coord2.Recover(pending)
+	n, err := ex2.Recover(pending)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(pending) {
-		t.Fatalf("recovered %d of %d pending tasks", n, len(pending))
+		t.Fatalf("recovered %d of %d pending jobs", n, len(pending))
 	}
-	if coord2.Metrics().Replayed != uint64(n) {
-		t.Fatalf("replay counter %d, want %d", coord2.Metrics().Replayed, n)
+	if ex2.Metrics().Replayed != uint64(n) {
+		t.Fatalf("replay counter %d, want %d", ex2.Metrics().Replayed, n)
 	}
 
-	// Drain under the original IDs. Tasks that committed before the crash
-	// are gone from coordinator memory; resubmitting their specs must be
+	// Drain under the original IDs. Jobs that finished before the crash are
+	// unknown to the new executor; resubmitting their specs must be
 	// answered by the surviving disk cache, not recomputed by a worker.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	replayed, rehit := 0, 0
 	recovered := make([][]byte, len(ids))
 	for i, id := range ids {
-		snap, err := coord2.Wait(ctx, id)
-		if errors.Is(err, fabric.ErrUnknownTask) {
-			task, serr := coord2.Submit(specs[i])
+		snap, err := ex2.Wait(ctx, id)
+		if errors.Is(err, jobs.ErrUnknownJob) {
+			job, serr := ex2.Submit(specs[i], jobs.SubmitOptions{})
 			if serr != nil {
 				t.Fatal(serr)
 			}
-			snap, err = coord2.Wait(ctx, task.ID)
-			if err == nil && snap.RemoteHit {
+			snap, err = ex2.Wait(ctx, job.ID)
+			if err == nil && snap.CacheHit {
 				rehit++
 			}
 		} else if err == nil && snap.Replayed {
@@ -204,7 +203,7 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 		recovered[i] = snap.Data
 	}
 	if replayed == 0 {
-		t.Fatal("no awaited task carried the replayed marker")
+		t.Fatal("no awaited job carried the replayed marker")
 	}
 	if killedAt > 0 && rehit == 0 {
 		t.Fatal("no pre-crash result was served from the surviving disk cache")
@@ -215,31 +214,41 @@ func TestCoordinatorCrashRecoveryBitIdentity(t *testing.T) {
 		t.Fatal("recovered fingerprint differs from uninterrupted run")
 	}
 
-	m := coord2.Metrics()
-	if m.Duplicates != 0 {
+	if m := coord2.Metrics(); m.Duplicates != 0 {
 		t.Fatalf("recovery committed %d duplicate results with hedging disabled", m.Duplicates)
 	}
-	jm, ok := coord2.JournalMetrics()
-	if !ok {
-		t.Fatal("journaled coordinator reports no journal metrics")
+	m := ex2.Metrics()
+	if !m.Journaled {
+		t.Fatal("journaled executor reports no journal metrics")
 	}
-	if jm.OpenJobs != 0 {
-		t.Fatalf("journal invariant violated: %d jobs still open after the sweep drained", jm.OpenJobs)
+	if m.Journal.OpenJobs != 0 {
+		t.Fatalf("journal invariant violated: %d jobs still open after the sweep drained", m.Journal.OpenJobs)
 	}
+	_ = ex1 // abandoned: its workers stay parked on the killed coordinator
 }
 
-// TestRecoverOnCleanJournal pins the no-op path: recovering zero pending
-// tasks touches nothing.
+// TestRecoverOnCleanJournal pins the no-op path: a coordinator node
+// recovering zero pending jobs touches nothing.
 func TestRecoverOnCleanJournal(t *testing.T) {
-	coord, _ := startCoord(t, fabric.CoordConfig{HedgeDelay: -1})
-	n, err := coord.Recover(nil)
+	store, pending, err := jobs.OpenJournal(t.TempDir(), jobs.JournalConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ex, coord, err := fabric.NewNode(jobs.Config{Workers: 1, Journal: store}, fabric.CoordConfig{HedgeDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Close)
+	t.Cleanup(coord.Close)
+	n, err := ex.Recover(pending)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
-		t.Fatalf("recovered %d tasks from an empty journal", n)
+		t.Fatalf("recovered %d jobs from an empty journal", n)
 	}
-	if m := coord.Metrics(); m.Replayed != 0 {
+	if m := ex.Metrics(); m.Replayed != 0 {
 		t.Fatalf("replay counter %d after empty recovery", m.Replayed)
 	}
 }

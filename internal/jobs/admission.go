@@ -53,6 +53,10 @@ var ErrOverloaded = errors.New("jobs: overloaded, try later")
 // maps it to 429 with a Retry-After header.
 var ErrRateLimited = errors.New("jobs: rate limited")
 
+// ErrReplaying rejects a submission that arrives while the journal is still
+// replaying. HTTP maps it to 503 with Retry-After: 1.
+var ErrReplaying = errors.New("jobs: journal replay in progress, try later")
+
 // RetryAfterError decorates a rejection with how long the caller should
 // back off before retrying. Use errors.Is against the wrapped sentinel
 // (ErrOverloaded, ErrRateLimited, ErrQueueFull) and RetryAfterOf to recover

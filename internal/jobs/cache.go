@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"os"
@@ -194,10 +195,11 @@ func (c *Cache) Put(key string, data []byte) {
 	c.PutOwned(key, data, "")
 }
 
-// PutOwned is Put with the stored bytes charged to tenant's quota. If the
-// write pushes the tenant past its byte or entry budget, the tenant's own
-// least recently used entries are evicted first; the global LRU bound then
-// applies across tenants.
+// PutOwned is Put with the stored bytes charged to tenant's quota (an
+// existing unowned entry for key becomes tenant's). If the write pushes the
+// tenant past its byte or entry budget, the tenant's own least recently used
+// entries are evicted first; the global LRU bound then applies across
+// tenants.
 func (c *Cache) PutOwned(key string, data []byte, tenant string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -207,30 +209,26 @@ func (c *Cache) PutOwned(key string, data []byte, tenant string) {
 func (c *Cache) putLocked(key string, data []byte, tenant string, persist bool) {
 	if e, ok := c.items[key]; ok {
 		c.touchLocked(e)
+		// Content addressing: the same bytes under the same key are already
+		// stored (and on disk, if they were written or promoted from there).
+		persist = persist && !bytes.Equal(e.data, data)
 		if e.tel != nil {
 			c.tenants[e.tenant].bytes += int64(len(data)) - int64(len(e.data))
 		}
 		e.data = data
+		if e.tel == nil && tenant != "" {
+			// An unowned entry — a fill from the fabric or a worker, or a
+			// disk promotion — is charged to the first tenant that stores
+			// it, so a result that lands in the shared tier before its
+			// job completes still counts against that tenant's quota.
+			c.chargeLocked(e, tenant)
+		}
 	} else {
-		e := &cacheEntry{key: key, data: data, tenant: tenant}
+		e := &cacheEntry{key: key, data: data}
 		e.gel = c.ll.PushFront(e)
 		c.items[key] = e
 		if tenant != "" {
-			t := c.tenants[tenant]
-			if t == nil {
-				t = &cacheTenant{ll: list.New()}
-				c.tenants[tenant] = t
-			}
-			e.tel = t.ll.PushFront(e)
-			t.bytes += int64(len(data))
-			// Tenant quota: evict the owner's own LRU tail (possibly the
-			// entry just stored, if it alone exceeds the byte budget).
-			for (c.tenantMaxEntries > 0 && t.ll.Len() > c.tenantMaxEntries) ||
-				(c.tenantMaxBytes > 0 && t.bytes > c.tenantMaxBytes) {
-				c.removeLocked(t.ll.Back().Value.(*cacheEntry))
-				c.tenantEvictions++
-				c.evictions++
-			}
+			c.chargeLocked(e, tenant)
 		}
 		for c.ll.Len() > c.capacity {
 			c.removeLocked(c.ll.Back().Value.(*cacheEntry))
@@ -249,6 +247,26 @@ func (c *Cache) putLocked(key string, data []byte, tenant string, persist bool) 
 			c.breaker.Failure()
 			c.diskErrors++
 		}
+	}
+}
+
+// chargeLocked makes tenant the owner of the unowned entry e and enforces
+// the tenant's quota: past its budget the owner's own LRU tail is evicted —
+// possibly e itself, if it alone exceeds the byte budget.
+func (c *Cache) chargeLocked(e *cacheEntry, tenant string) {
+	t := c.tenants[tenant]
+	if t == nil {
+		t = &cacheTenant{ll: list.New()}
+		c.tenants[tenant] = t
+	}
+	e.tenant = tenant
+	e.tel = t.ll.PushFront(e)
+	t.bytes += int64(len(e.data))
+	for (c.tenantMaxEntries > 0 && t.ll.Len() > c.tenantMaxEntries) ||
+		(c.tenantMaxBytes > 0 && t.bytes > c.tenantMaxBytes) {
+		c.removeLocked(t.ll.Back().Value.(*cacheEntry))
+		c.tenantEvictions++
+		c.evictions++
 	}
 }
 

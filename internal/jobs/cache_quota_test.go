@@ -139,3 +139,42 @@ func TestCacheGlobalLRUAcrossTenants(t *testing.T) {
 			s.PerTenant["alice"].Entries, s.PerTenant["bob"].Entries)
 	}
 }
+
+// TestCachePutOwnedClaimsUnownedEntry: an entry stored unowned first — a
+// fabric result or worker fill landing in the shared tier before the job's
+// own store — is charged to the tenant whose job then stores it, so that
+// tenant's quota evicts it and nobody else's entries; the repeated store
+// writes nothing more to disk.
+func TestCachePutOwnedClaimsUnownedEntry(t *testing.T) {
+	fs := &failingFS{}
+	c, err := jobs.NewCacheWith(100, t.TempDir(), fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTenantQuotas(0, 2)
+
+	c.PutOwned("v1", []byte("victim-1"), "victim")
+	c.PutOwned("v2", []byte("victim-2"), "victim")
+	for i := 0; i < 10; i++ {
+		key, data := fmt.Sprintf("f%d", i), []byte(fmt.Sprintf("flood-%d", i))
+		c.Put(key, data)
+		before := fs.calls
+		c.PutOwned(key, data, "flood")
+		if fs.calls != before {
+			t.Fatalf("re-storing %s touched the disk %d more times", key, fs.calls-before)
+		}
+	}
+
+	s := c.Stats()
+	if got := s.PerTenant["flood"].Entries; got != 2 {
+		t.Fatalf("flood owns %d entries, want 2 (its quota)", got)
+	}
+	if s.TenantEvictions != 8 {
+		t.Fatalf("TenantEvictions = %d, want 8", s.TenantEvictions)
+	}
+	for _, k := range []string{"v1", "v2", "f8", "f9"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("entry %s evicted", k)
+		}
+	}
+}

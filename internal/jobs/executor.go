@@ -15,7 +15,7 @@ import (
 )
 
 // Runner executes one validated spec. The default is core.RunCtx; tests and
-// future remote backends substitute their own.
+// remote backends (a fabric coordinator node) substitute their own.
 type Runner func(ctx context.Context, spec core.Spec) (core.Result, error)
 
 // ErrTransient marks an error worth retrying: wrap (or errors.Join) it into
@@ -32,7 +32,7 @@ var ErrDraining = errors.New("jobs: executor is draining; not accepting jobs")
 var ErrQueueFull = errors.New("jobs: queue full")
 
 // ErrUnknownJob is returned for job IDs the executor has never seen or has
-// forgotten.
+// forgotten (Forget, or retention past maxTerminalJobs).
 var ErrUnknownJob = errors.New("jobs: unknown job")
 
 // ErrJobActive is returned by Forget for a job that is not yet terminal.
@@ -179,6 +179,7 @@ type Executor struct {
 	cond             *sync.Cond
 	sched            scheduler
 	jobs             map[string]*Job
+	doneOrder        []string        // terminal job IDs, oldest first (retention)
 	inflight         map[string]*Job // spec-hash → primary job (for coalescing)
 	queuedByPrio     map[int]int
 	queuedByClass    [2]int
@@ -192,6 +193,7 @@ type Executor struct {
 	draining         bool
 	closed           bool
 	running          int
+	nworkers         int // live worker goroutines (cfg.Workers is the target)
 	wg               sync.WaitGroup
 
 	m         Metrics
@@ -205,7 +207,7 @@ type Executor struct {
 }
 
 // NewExecutor starts cfg.Workers workers and returns the executor. Call
-// Close (optionally after Drain) to stop them.
+// Close (optionally after Drain) to stop them; SetWorkers resizes the pool.
 func NewExecutor(cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -260,13 +262,45 @@ func NewExecutor(cfg Config) *Executor {
 	} else {
 		ex.sched = newWFQSched(cfg.QoS, ex.estCostLocked)
 	}
+	if cfg.Journal != nil {
+		// Job IDs embed the submission sequence; starting past the
+		// journal's high-water mark means no submission — not even one
+		// accepted before Recover replays the backlog — reuses a journaled
+		// ID.
+		ex.seq = cfg.Journal.MaxSeq()
+	}
 	ex.inst = newInstruments(ex.reg)
 	ex.cond = sync.NewCond(&ex.mu)
-	for i := 0; i < cfg.Workers; i++ {
+	ex.mu.Lock()
+	ex.startWorkersLocked()
+	ex.mu.Unlock()
+	return ex
+}
+
+// SetWorkers resizes the worker pool — the simulation concurrency bound —
+// to n (minimum 1): growing starts workers at once, shrinking retires
+// workers as they finish their current job. A coordinator node tracks its
+// fleet's registered slots with it.
+func (ex *Executor) SetWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.closed {
+		return
+	}
+	ex.cfg.Workers = n
+	ex.startWorkersLocked()
+	ex.cond.Broadcast() // surplus idle workers retire
+}
+
+// startWorkersLocked starts workers up to cfg.Workers. Caller holds ex.mu.
+func (ex *Executor) startWorkersLocked() {
+	for ; ex.nworkers < ex.cfg.Workers; ex.nworkers++ {
 		ex.wg.Add(1)
 		go ex.worker()
 	}
-	return ex
 }
 
 // Submit validates and enqueues spec. The returned job may already be done
@@ -286,13 +320,6 @@ func (ex *Executor) Submit(spec core.Spec, opts SubmitOptions) (*Job, error) {
 // content addressing makes a completed run a cache hit. Call once, before
 // serving traffic.
 func (ex *Executor) Recover(pending []Pending) (int, error) {
-	if j := ex.cfg.Journal; j != nil {
-		ex.mu.Lock()
-		if s := j.MaxSeq(); s > ex.seq {
-			ex.seq = s // never re-issue a journaled job ID
-		}
-		ex.mu.Unlock()
-	}
 	for i := range pending {
 		p := &pending[i]
 		opts := SubmitOptions{
@@ -696,10 +723,10 @@ func (ex *Executor) Cancel(id string) (State, error) {
 }
 
 // Forget drops a terminal job's record; its ID then answers ErrUnknownJob.
-// The executor otherwise keeps every job it ever ran, so a caller that
-// consumes outcomes itself and never hands the ID to a client (a fabric
-// worker reporting shards over the wire) forgets each job once it is done
-// with it. The result cache is unaffected.
+// The executor otherwise keeps the latest maxTerminalJobs terminal jobs, so
+// a caller that consumes outcomes itself and never hands the ID to a client
+// (a fabric worker reporting shards over the wire) forgets each job once it
+// is done with it. The result cache is unaffected.
 func (ex *Executor) Forget(id string) error {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -723,12 +750,21 @@ func (ex *Executor) Wait(ctx context.Context, id string) (Snapshot, error) {
 	if !ok {
 		return Snapshot{}, ErrUnknownJob
 	}
+	return ex.await(ctx, job)
+}
+
+// await blocks until job is terminal or ctx expires, then snapshots it. It
+// works on the held job, so retention evicting the job's ID meanwhile does
+// not lose the outcome.
+func (ex *Executor) await(ctx context.Context, job *Job) (Snapshot, error) {
 	select {
 	case <-job.done:
-		return ex.Get(id)
 	case <-ctx.Done():
 		return Snapshot{}, ctx.Err()
 	}
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.snapshotLocked(job), nil
 }
 
 // Result submits spec, waits for completion, and reconstructs the
@@ -739,7 +775,7 @@ func (ex *Executor) Result(ctx context.Context, spec core.Spec, opts SubmitOptio
 	if err != nil {
 		return core.Result{}, false, err
 	}
-	snap, err := ex.Wait(ctx, job.ID)
+	snap, err := ex.await(ctx, job)
 	if err != nil {
 		return core.Result{}, false, err
 	}
@@ -765,7 +801,7 @@ func (ex *Executor) BatchRunner(ctx context.Context) func([]core.Spec) ([]core.R
 		}
 		results := make([]core.Result, len(specs))
 		for i, job := range batch {
-			snap, err := ex.Wait(ctx, job.ID)
+			snap, err := ex.await(ctx, job)
 			if err != nil {
 				return nil, err
 			}
@@ -918,10 +954,11 @@ func (ex *Executor) worker() {
 		ex.mu.Lock()
 		var job *Job
 		for job == nil {
-			for ex.sched.Len() == 0 && !ex.closed {
+			for ex.sched.Len() == 0 && !ex.closed && ex.nworkers <= ex.cfg.Workers {
 				ex.cond.Wait()
 			}
-			if ex.sched.Len() == 0 && ex.closed {
+			if ex.nworkers > ex.cfg.Workers || (ex.sched.Len() == 0 && ex.closed) {
+				ex.nworkers--
 				ex.mu.Unlock()
 				return
 			}
@@ -957,13 +994,7 @@ func (ex *Executor) worker() {
 		job.started = time.Now()
 		ex.inst.queueSeconds.Observe(job.started.Sub(job.submitted).Seconds())
 		ex.running++
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if job.timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, job.timeout)
-		} else {
-			ctx, cancel = context.WithCancel(ctx)
-		}
+		ctx, cancel := jobContext(job.timeout)
 		job.cancel = cancel
 		ex.mu.Unlock()
 
@@ -1008,6 +1039,34 @@ func (ex *Executor) worker() {
 	}
 }
 
+// cancelOnlyKey carries a running job's cancel-only context (CancelOnly).
+type cancelOnlyKey struct{}
+
+// jobContext returns the context a job runs under: canceled by Cancel and
+// Drain through the returned func, with the job's timeout (if any) layered
+// on top.
+func jobContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	base, cancel := context.WithCancel(context.Background())
+	if timeout <= 0 {
+		return base, cancel
+	}
+	ctx, stop := context.WithTimeout(context.WithValue(base, cancelOnlyKey{}, base), timeout)
+	return ctx, func() { stop(); cancel() }
+}
+
+// CancelOnly returns the context a running job's deadline is layered on: it
+// ends when the job is canceled (Cancel, Drain) but not when the deadline
+// passes. A backend that charges only part of a job's wall-clock time to
+// ctx.Deadline() — a coordinator not counting the time a cell waits for a
+// worker to exist — waits on it and enforces the deadline itself. For a
+// context not made by the executor it returns ctx.
+func CancelOnly(ctx context.Context) context.Context {
+	if base, ok := ctx.Value(cancelOnlyKey{}).(context.Context); ok {
+		return base
+	}
+	return ctx
+}
+
 // withProgress attaches a progress sink that tracks the job's simulation
 // event count and journals it at the configured stride, so a crash leaves a
 // record of how far the run got.
@@ -1049,13 +1108,7 @@ func (ex *Executor) runGang(d *Job) {
 			live = append(live, j)
 		}
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if d.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := jobContext(d.timeout)
 	specs := make([]core.Spec, len(live))
 	for i, j := range live {
 		j.state = StateRunning
@@ -1276,6 +1329,7 @@ func (ex *Executor) completeLocked(job *Job, data []byte, err error) {
 			}
 		}
 		close(j.done)
+		ex.retainLocked(j.ID)
 	}
 	finalize(job)
 	for _, d := range job.dups {
@@ -1288,6 +1342,23 @@ func (ex *Executor) completeLocked(job *Job, data []byte, err error) {
 		delete(ex.inflight, job.SpecHash)
 	}
 	ex.cond.Broadcast() // wake Drain's idle watcher
+}
+
+// maxTerminalJobs bounds the terminal jobs the executor remembers. Past it
+// the oldest are forgotten first: their IDs answer ErrUnknownJob while
+// their results stay in the cache. Queued and running jobs (coalesced
+// duplicates included) are never evicted, so the jobs map holds at most
+// this many terminal jobs plus the live ones.
+const maxTerminalJobs = 16384
+
+// retainLocked records a newly terminal job and evicts the oldest terminal
+// jobs past maxTerminalJobs. Caller holds ex.mu.
+func (ex *Executor) retainLocked(id string) {
+	ex.doneOrder = append(ex.doneOrder, id)
+	for len(ex.doneOrder) > maxTerminalJobs {
+		delete(ex.jobs, ex.doneOrder[0])
+		ex.doneOrder = ex.doneOrder[1:]
+	}
 }
 
 func (ex *Executor) snapshotLocked(job *Job) Snapshot {

@@ -382,3 +382,54 @@ func TestCrashRecoverySubprocess(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartNeverReusesJournaledID: a restarted executor accepts
+// submissions before Recover replays the journal (its server listens
+// first), so the ID sequence must already start past the journal's
+// high-water mark — a fresh submission of a pending job's spec gets a new
+// ID, and both jobs complete under their own IDs.
+func TestRestartNeverReusesJournaledID(t *testing.T) {
+	dir := t.TempDir()
+	spec := jobs.Normalize(testSpec(7))
+	hash, err := jobs.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The journal of a crashed executor whose first job was still pending.
+	j1, _ := openJournal(t, dir, 1<<20)
+	journaledID := fmt.Sprintf("%s-%d", hash[:12], 1)
+	if err := j1.Submit(jobs.Pending{ID: journaledID, Seq: 1, SpecHash: hash, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, pending := openJournal(t, dir, 1<<20)
+	defer j2.Close()
+	if len(pending) != 1 || pending[0].ID != journaledID {
+		t.Fatalf("journal replay: %+v, want the one pending job %s", pending, journaledID)
+	}
+	ex := jobs.NewExecutor(jobs.Config{Workers: 1, Journal: j2, Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+		return fakeResult(spec), nil
+	}})
+	defer ex.Close()
+	fresh, err := ex.Submit(spec, jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == journaledID {
+		t.Fatalf("submission before replay reused journaled ID %s", journaledID)
+	}
+	if _, err := ex.Recover(pending); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, id := range []string{fresh.ID, journaledID} {
+		snap, err := ex.Wait(ctx, id)
+		if err != nil || snap.State != jobs.StateDone {
+			t.Fatalf("job %s: %v %v", id, snap.State, err)
+		}
+	}
+}

@@ -39,8 +39,8 @@ import (
 //	GET    /readyz             200 only after crash recovery finishes (readiness)
 //
 // Overload responses carry a Retry-After header: 429 when a client exhausts
-// its token bucket, 503 when admission control sheds the job. Bodies past
-// the configured cap are rejected with 413.
+// its token bucket, 503 when admission control sheds the job or the journal
+// is still replaying. Bodies past the configured cap are rejected with 413.
 type Server struct {
 	ex      *Executor
 	mux     *http.ServeMux
@@ -65,6 +65,11 @@ type ServerOptions struct {
 	// MaxBodyBytes caps POST bodies (default 1 MiB). Oversized requests
 	// get 413 without reading the excess.
 	MaxBodyBytes int64
+	// Degraded, when set, is consulted on every /readyz after the startup
+	// phases: a non-empty reason reports the node degraded without
+	// refusing work (a coordinator node with no registered worker keeps
+	// accepting and parking jobs).
+	Degraded func() string
 }
 
 // NewServer wraps ex in the HTTP API with default options and readiness
@@ -99,14 +104,20 @@ func NewServerWithOptions(ex *Executor, opts ServerOptions) *Server {
 	return s
 }
 
+// replayPhase is the startup phase of a journal replay. Unlike other
+// phases it also refuses submissions, with 503 + Retry-After: 1 (replay
+// takes seconds), so nothing is accepted until the backlog is rebuilt.
+const replayPhase = "journal replay"
+
 // SetReady flips the /readyz signal. Keep it false while replaying the
 // journal so load balancers don't route traffic to a server still rebuilding
-// its queue. Equivalent to SetPhase("journal replay") / SetPhase("").
+// its queue, and submissions are refused until it is rebuilt. Equivalent to
+// SetPhase("journal replay") / SetPhase("").
 func (s *Server) SetReady(ready bool) {
 	if ready {
 		s.SetPhase("")
 	} else {
-		s.SetPhase("journal replay")
+		s.SetPhase(replayPhase)
 	}
 }
 
@@ -228,7 +239,7 @@ func statusOf(s Snapshot) JobStatus {
 		State:     s.State.String(),
 		Tenant:    s.Tenant,
 		Kernel:    s.Spec.Kernel,
-		System:    s.Spec.System.String(),
+		System:    core.MachineName(s.Spec),
 		Variant:   s.Spec.Variant.String(),
 		Seed:      s.Spec.Seed,
 		CacheHit:  s.CacheHit,
@@ -292,6 +303,17 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// rejectDuringReplay answers a submission that arrives while the journal
+// is replaying with 503 + Retry-After: 1, reporting whether it did.
+func (s *Server) rejectDuringReplay(w http.ResponseWriter) bool {
+	if phase, _ := s.phase.Load().(string); phase != replayPhase {
+		return false
+	}
+	writeRetryError(w, http.StatusServiceUnavailable,
+		&RetryAfterError{Err: ErrReplaying, RetryAfter: time.Second})
+	return true
+}
+
 // rateLimit enforces the per-tenant token bucket, answering 429 with a
 // Retry-After header when the bucket is dry.
 func (s *Server) rateLimit(w http.ResponseWriter, tenant string) bool {
@@ -305,6 +327,9 @@ func (s *Server) rateLimit(w http.ResponseWriter, tenant string) bool {
 }
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
+	if s.rejectDuringReplay(w) {
+		return
+	}
 	tenant, err := tenantFrom(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -413,6 +438,9 @@ func (req SweepRequest) Specs() ([]core.Spec, error) {
 }
 
 func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
+	if s.rejectDuringReplay(w) {
+		return
+	}
 	tenant, err := tenantFrom(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -599,7 +627,7 @@ func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 	resp := TraceResponse{
 		ID:       snap.ID,
 		Kernel:   snap.Spec.Kernel,
-		System:   snap.Spec.System.String(),
+		System:   core.MachineName(snap.Spec),
 		Variant:  snap.Spec.Variant.String(),
 		Seed:     snap.Spec.Seed,
 		Attempts: snap.Attempts,
@@ -694,7 +722,11 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	if phase, _ := s.phase.Load().(string); phase != "" {
+	phase, _ := s.phase.Load().(string)
+	if phase == "" && s.opts.Degraded != nil {
+		phase = s.opts.Degraded()
+	}
+	if phase != "" {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": "degraded",
 			"reason": phase,

@@ -222,6 +222,42 @@ func TestServerReadyz(t *testing.T) {
 	}
 }
 
+// TestServerRejectsSubmissionsDuringReplay: while the journal replays, job
+// and sweep submissions get 503 + Retry-After: 1 (a submission accepted
+// before replay could collide with the backlog being rebuilt); other
+// startup phases only degrade /readyz and keep accepting work.
+func TestServerRejectsSubmissionsDuringReplay(t *testing.T) {
+	ts, api, _ := newProtectedServer(t, jobs.Config{Workers: 1, Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+		return fakeResult(spec), nil
+	}}, jobs.ServerOptions{})
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	api.SetReady(false)
+	for _, path := range []string{"/v1/jobs", "/v1/sweeps"} {
+		resp := post(path, `{"kernel":"cilksort","kernels":["cilksort"],"variants":["base"]}`)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("%s during replay: %d Retry-After %q, want 503 and 1", path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+
+	api.SetPhase("worker registration")
+	if resp := post("/v1/jobs", `{"kernel":"cilksort","seed":1}`); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("submission during worker registration: %d, want accepted", resp.StatusCode)
+	}
+	api.SetReady(true)
+	if resp := post("/v1/jobs", `{"kernel":"cilksort","seed":2}`); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("submission after replay: %d, want accepted", resp.StatusCode)
+	}
+}
+
 // TestServerWaitLongPoll covers GET ?wait: the handler blocks until the job
 // completes instead of making the client poll, and wait_ms bounds the block,
 // returning the job's current (non-terminal) state on expiry.

@@ -387,3 +387,36 @@ func TestServerTraceCSVLabelsFollowMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestJobStatusNamesMachine: the status and trace of a job name the machine
+// that was simulated — the preset, a custom big/little mix, or an N-way
+// topology — not the System preset field a custom machine overrides.
+func TestJobStatusNamesMachine(t *testing.T) {
+	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
+	for _, tc := range []struct{ form, want string }{
+		{`"system":"1B7L"`, "1B7L"},
+		{`"nbig":2,"nlit":6`, "2B6L"},
+		{`"topology":[{"Count":1,"Speed":4,"Power":3},{"Count":3,"Speed":2,"Power":1.8},{"Count":4}]`, "1x4/3,3x2/1.8,4"},
+	} {
+		body := `{"kernel":"cilksort","scale":0.05,"with_trace":true,"no_cache":true,` + tc.form + `}`
+		code, m := postJSON(t, ts.URL+"/v1/jobs", body)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("%s: submit %d %v", tc.form, code, m)
+		}
+		id := m["id"].(string)
+		code, st := getJSON(t, ts.URL+"/v1/jobs/"+id+"?wait=1")
+		if code != http.StatusOK || st["state"] != "done" {
+			t.Fatalf("%s: %d %v", tc.form, code, st)
+		}
+		if st["system"] != tc.want {
+			t.Errorf("%s: status system %q, want %q", tc.form, st["system"], tc.want)
+		}
+		code, tr := getJSON(t, ts.URL+"/v1/jobs/"+id+"/trace")
+		if code != http.StatusOK {
+			t.Fatalf("%s: trace %d %v", tc.form, code, tr)
+		}
+		if tr["system"] != tc.want {
+			t.Errorf("%s: trace system %q, want %q", tc.form, tr["system"], tc.want)
+		}
+	}
+}
