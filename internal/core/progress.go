@@ -14,7 +14,11 @@ type progressKey struct{}
 // number of events executed so far. The callback is side-effect-free on
 // simulation state (same guarantee as context cancellation polling), so
 // attaching it never perturbs the schedule. fn runs on the simulating
-// goroutine and must be fast and non-blocking.
+// goroutine and must be fast and non-blocking. Under RunBatchCtx (or
+// RunBatchWidth above width 1) several cells simulate at once, so fn may be
+// called from several goroutines concurrently, each with its own cell's
+// count: it must be safe for concurrent use and must not assume successive
+// counts increase.
 func WithProgress(ctx context.Context, fn func(events uint64)) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }

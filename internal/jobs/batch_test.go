@@ -1,8 +1,12 @@
 package jobs_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -194,5 +198,89 @@ func TestSubmitBatchMemberCancel(t *testing.T) {
 	canceled := waitDone(t, ex, batch[0].ID)
 	if canceled.State != jobs.StateCanceled {
 		t.Errorf("canceled member state = %s, want canceled", canceled.State)
+	}
+}
+
+// TestGangProgressConcurrentCells drives a gang's progress sink the way a
+// parallel batch runner does: several cells report their own event counts
+// concurrently. Journaled progress must stay a monotone stride — each
+// record at least ProgressEvents above the last — instead of journaling on
+// every call whenever a smaller count interleaves with a larger one.
+func TestGangProgressConcurrentCells(t *testing.T) {
+	const (
+		stride = 100
+		cells  = 4
+		calls  = 2000
+	)
+	dir := t.TempDir()
+	journal, _ := openJournal(t, dir, 1<<30)
+	ex := jobs.NewExecutor(jobs.Config{
+		Workers:        1,
+		Journal:        journal,
+		ProgressEvents: stride,
+		BatchRunner: func(ctx context.Context, specs []core.Spec) ([]core.Result, error) {
+			sink := core.ProgressFromContext(ctx)
+			var wg sync.WaitGroup
+			for c := 0; c < cells; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 1; i <= calls; i++ {
+						sink(uint64(i * (c + 1))) // cells advance at different rates
+					}
+				}(c)
+			}
+			wg.Wait()
+			results := make([]core.Result, len(specs))
+			for i, spec := range specs {
+				results[i] = fakeResult(spec)
+			}
+			return results, nil
+		},
+	})
+	batch, err := ex.SubmitBatch([]core.Spec{testSpec(1), testSpec(2)}, jobs.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range batch {
+		if snap := waitDone(t, ex, job.ID); snap.State != jobs.StateDone {
+			t.Fatalf("%s: state %s, err %v", job.ID, snap.State, snap.Err)
+		}
+	}
+	ex.Close()
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments %v (err %v), want one", segs, err)
+	}
+	blob, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled []uint64
+	for _, line := range bytes.Split(bytes.TrimSuffix(blob, []byte("\n")), []byte("\n")) {
+		rec, err := jobs.DecodeRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == "progress" {
+			journaled = append(journaled, rec.Events)
+		}
+	}
+	if len(journaled) == 0 {
+		t.Fatal("no progress journaled")
+	}
+	last := uint64(0)
+	for _, ev := range journaled {
+		if ev < last+stride {
+			t.Fatalf("progress record %d follows %d: stride %d broken (records %v)", ev, last, stride, journaled)
+		}
+		last = ev
+	}
+	if max := uint64(calls * cells / stride); uint64(len(journaled)) > max {
+		t.Errorf("%d progress records, want at most %d", len(journaled), max)
 	}
 }

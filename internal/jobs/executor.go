@@ -81,8 +81,8 @@ type Config struct {
 	// Runner overrides how specs execute (default core.RunCtx).
 	Runner Runner
 	// BatchRunner overrides how SubmitBatch gangs execute (default
-	// core.RunBatchCtx, the partitioned batch path that pins one engine
-	// and LUT per partition signature).
+	// core.RunBatchWidth at width 1, the partitioned batch path that pins
+	// one engine and LUT per partition signature).
 	BatchRunner func(ctx context.Context, specs []core.Spec) ([]core.Result, error)
 }
 
@@ -241,7 +241,12 @@ func NewExecutor(cfg Config) *Executor {
 				return results, nil
 			}
 		} else {
-			cfg.BatchRunner = core.RunBatchCtx
+			// Gangs run one input group at a time: batches already run
+			// concurrently on the Workers pool, and that count is the
+			// executor's concurrency contract.
+			cfg.BatchRunner = func(ctx context.Context, specs []core.Spec) ([]core.Result, error) {
+				return core.RunBatchWidth(ctx, specs, 1)
+			}
 		}
 	}
 	if cfg.Runner == nil {
@@ -453,12 +458,13 @@ func (ex *Executor) submitLocked(spec core.Spec, opts SubmitOptions, rep *Pendin
 // returning one job per spec in input order. Cache hits and coalesced
 // duplicates resolve per spec exactly as with Submit; the remaining fresh
 // jobs are dispatched together — one worker executes them all through the
-// batch runner (core.RunBatchCtx by default), so cells sharing a partition
-// signature run on one pinned engine with the LUT resolved once. The gang
-// is a single scheduler entry and a single sweep-class concurrency slot,
-// but every fresh member still counts against the admission bounds (queue
-// depth, per-tenant and per-priority shares), so a large batch is rejected
-// exactly where the same cells submitted one by one would be.
+// batch runner (core.RunBatchWidth at width 1 by default), so cells sharing
+// a partition signature run on one pinned engine with the LUT resolved
+// once. The gang is a single scheduler entry and a single sweep-class
+// concurrency slot, but every fresh member still counts against the
+// admission bounds (queue depth, per-tenant and per-priority shares), so a
+// large batch is rejected exactly where the same cells submitted one by one
+// would be.
 // A rejected cell (admission, journal) cancels the batch's earlier fresh
 // members and fails the whole submission — a batch starts fully formed or
 // not at all. Canceling one queued member skips just that cell; canceling
@@ -998,7 +1004,7 @@ func (ex *Executor) worker() {
 		job.cancel = cancel
 		ex.mu.Unlock()
 
-		data, res, err := ex.runJob(ex.withProgress(ctx, job), job)
+		data, res, err := ex.runJob(ex.withProgress(ctx, []*Job{job}), job)
 		cancel()
 
 		ex.mu.Lock()
@@ -1067,21 +1073,6 @@ func CancelOnly(ctx context.Context) context.Context {
 	return ctx
 }
 
-// withProgress attaches a progress sink that tracks the job's simulation
-// event count and journals it at the configured stride, so a crash leaves a
-// record of how far the run got.
-func (ex *Executor) withProgress(ctx context.Context, job *Job) context.Context {
-	stride := ex.cfg.ProgressEvents
-	var lastJournaled uint64
-	return core.WithProgress(ctx, func(events uint64) {
-		job.events.Store(events)
-		if ex.cfg.Journal != nil && events-lastJournaled >= stride {
-			lastJournaled = events
-			ex.cfg.Journal.Progress(job.ID, events)
-		}
-	})
-}
-
 // gangLive reports whether any gang member is still dispatchable.
 func gangLive(gang []*Job) bool {
 	for _, j := range gang {
@@ -1126,7 +1117,7 @@ func (ex *Executor) runGang(d *Job) {
 			jl.Start(j.ID, 1)
 		}
 	}
-	results, err := ex.safeRunBatch(ex.withGangProgress(ctx, live), specs)
+	results, err := ex.safeRunBatch(ex.withProgress(ctx, live), specs)
 	cancel()
 	if err == nil && len(results) != len(specs) {
 		err = fmt.Errorf("jobs: batch runner returned %d results for %d specs", len(results), len(specs))
@@ -1196,21 +1187,33 @@ func (ex *Executor) safeRunBatch(ctx context.Context, specs []core.Spec) (res []
 	return ex.cfg.BatchRunner(ctx, specs)
 }
 
-// withGangProgress mirrors withProgress for a gang: every member reports
-// the running cell's event count, and the journal strides on the first
-// member's ID (progress records are advisory; the members' submit records
-// are what crash recovery replays).
-func (ex *Executor) withGangProgress(ctx context.Context, live []*Job) context.Context {
+// withProgress attaches a progress sink that tracks the running cell's
+// simulation event count on every job of jobs (one job, or a gang's live
+// members) and journals it at the configured stride on the first job's ID,
+// so a crash leaves a record of how far the run got (progress records are
+// advisory; the submit records are what crash recovery replays). A batch
+// runner may run several cells at once and call the sink concurrently with
+// each cell's own count, so the journal stride is a monotone high-water
+// mark, checked and journaled under one lock: a record is written only for
+// a count at least one stride above the last journaled one, and a smaller
+// count never rewinds it.
+func (ex *Executor) withProgress(ctx context.Context, jobs []*Job) context.Context {
 	stride := ex.cfg.ProgressEvents
-	var lastJournaled uint64
+	var mu sync.Mutex
+	var lastJournaled uint64 // guarded by mu
 	return core.WithProgress(ctx, func(events uint64) {
-		for _, j := range live {
+		for _, j := range jobs {
 			j.events.Store(events)
 		}
-		if ex.cfg.Journal != nil && events-lastJournaled >= stride {
-			lastJournaled = events
-			ex.cfg.Journal.Progress(live[0].ID, events)
+		if ex.cfg.Journal == nil {
+			return
 		}
+		mu.Lock()
+		if events >= lastJournaled && events-lastJournaled >= stride {
+			lastJournaled = events
+			ex.cfg.Journal.Progress(jobs[0].ID, events)
+		}
+		mu.Unlock()
 	})
 }
 

@@ -83,11 +83,23 @@ func TestMultipleJobsSequential(t *testing.T) {
 	}
 }
 
+// TestStealsActuallyHappen: the first leaf holds its goroutine until a
+// steal is observed (bounded, so a pool that never steals fails instead of
+// hanging), so the run is imbalanced by construction rather than by timing:
+// the rest of the range can only finish through idle workers taking the
+// blocked goroutine's splits or the leftovers of busier workers.
 func TestStealsActuallyHappen(t *testing.T) {
 	p := NewStealing(4)
 	defer p.Shutdown()
 	var spin atomic.Int64
+	var first atomic.Bool
 	p.ParallelFor(0, 4096, 1, func(lo, hi int) {
+		if first.CompareAndSwap(false, true) {
+			deadline := time.Now().Add(10 * time.Second)
+			for p.Steals() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
 		for i := 0; i < 2000; i++ {
 			spin.Add(1)
 		}
