@@ -14,11 +14,14 @@
 //	              dispatches interleave out of order — fingerprint must hold
 //	cache-outage  kill the shared remote-cache tier mid-sweep — workers must
 //	              degrade to local compute and the fingerprint must hold
+//	failstop      fail-stop worker node-0 mid-sweep — its shards must be
+//	              re-dispatched, and a second pass must reproduce the same
+//	              bytes with answers served from the shared cache tier
 //
 // Every scenario verifies the merged fingerprint against an uninterrupted
 // single-node reference computed in the same process, so any -system/-seed/
-// -scale works; -fabric-fingerprint additionally gates coord-crash recovery
-// against the committed value.
+// -scale works; -fabric-fingerprint additionally gates the reference,
+// coord-crash recovery and the failstop merge against the committed value.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -143,6 +147,7 @@ func runFabricChaos(o fabricChaosOptions) int {
 		{"zombie", func() scenarioResult { return scenarioZombie(o, specs) }},
 		{"reorder", func() scenarioResult { return scenarioReorder(o, specs, refFP) }},
 		{"cache-outage", func() scenarioResult { return scenarioCacheOutage(o, specs, refFP) }},
+		{"failstop", func() scenarioResult { return scenarioFailstop(o, specs, refFP, committedFP) }},
 	}
 
 	report := fabricChaosReport{
@@ -177,7 +182,7 @@ func runFabricChaos(o fabricChaosOptions) int {
 		}
 	}
 	if ran == 0 {
-		fatalf("unknown fabric scenario %q (coord-crash, zombie, reorder, cache-outage, all)", o.scenario)
+		fatalf("unknown fabric scenario %q (coord-crash, zombie, reorder, cache-outage, failstop, all)", o.scenario)
 	}
 	report.TotalWallMs = float64(time.Since(t0)) / float64(time.Millisecond)
 
@@ -290,6 +295,65 @@ func stopChaosWorkers(ws []*chaosWorker) {
 	}
 }
 
+// chaosCoord is a bare coordinator serving the fabric wire on a loopback
+// listener and, when booted with its HTTP API, the shared result-cache tier
+// on another.
+type chaosCoord struct {
+	*fabric.Coordinator
+	addr     string // fabric wire address
+	httpAddr string // HTTP API address ("" when booted without it)
+	hsrv     *http.Server
+}
+
+func startChaosCoord(cfg fabric.CoordConfig, withHTTP bool) (*chaosCoord, error) {
+	coord, err := fabric.NewCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		coord.Close()
+		return nil, err
+	}
+	go func() { _ = coord.Serve(ln) }()
+	c := &chaosCoord{Coordinator: coord, addr: ln.Addr().String()}
+	if withHTTP {
+		hln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			coord.Close()
+			return nil, err
+		}
+		c.httpAddr = hln.Addr().String()
+		c.hsrv = &http.Server{Handler: fabric.NewHTTP(coord, fabric.HTTPOptions{})}
+		go func() { _ = c.hsrv.Serve(hln) }()
+	}
+	return c, nil
+}
+
+func (c *chaosCoord) Close() {
+	if c.hsrv != nil {
+		_ = c.hsrv.Close()
+	}
+	c.Coordinator.Close()
+}
+
+// awaitThird blocks until a third of n shards have committed on coord: the
+// mid-sweep point where the drills inject their fault.
+func awaitThird(coord *fabric.Coordinator, n int) error {
+	threshold := uint64(n / 3)
+	if threshold == 0 {
+		threshold = 1
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for coord.Metrics().ShardsCompleted < threshold {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sweep never reached %d committed shards", threshold)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return nil
+}
+
 // scenarioCoordCrash kills a coordinator node — an executor over a
 // coordinator (fabric.NewNode) — mid-sweep: the executor is abandoned and
 // the coordinator Killed, so no terminal journal record is written. A fresh
@@ -372,17 +436,9 @@ func scenarioCoordCrash(o fabricChaosOptions, specs []core.Spec, ref [][]byte, r
 	// SIGKILL analog once a third of the shards have committed: abrupt, no
 	// journal finalization, no job resolution. The first executor is
 	// abandoned with its running jobs still waiting on the dead coordinator.
-	threshold := uint64(len(specs) / 3)
-	if threshold == 0 {
-		threshold = 1
-	}
-	killDeadline := time.Now().Add(2 * time.Minute)
-	for coord1.Metrics().ShardsCompleted < threshold {
-		if time.Now().After(killDeadline) {
-			r.failf("sweep never reached %d committed shards", threshold)
-			return r
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := awaitThird(coord1, len(specs)); err != nil {
+		r.failf("%v", err)
+		return r
 	}
 	coord1.Kill()
 	r.notef("killed coordinator node after %d/%d shards committed", coord1.Metrics().ShardsCompleted, len(specs))
@@ -739,22 +795,16 @@ func startReorderProxy(target string, seed int64) (string, func(), error) {
 // commits. First-result-wins plus duplicate suppression must keep the merge
 // exact no matter how frames interleave.
 func scenarioReorder(o fabricChaosOptions, specs []core.Spec, refFP string) (r scenarioResult) {
-	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
+	coord, err := startChaosCoord(fabric.CoordConfig{
 		HedgeDelay:       100 * time.Millisecond,
 		HeartbeatTimeout: 3 * time.Second,
 		RetryBackoff:     25 * time.Millisecond,
-	})
+	}, false)
 	if err != nil {
 		r.failf("coordinator: %v", err)
 		return r
 	}
 	defer coord.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		r.failf("listener: %v", err)
-		return r
-	}
-	go func() { _ = coord.Serve(ln) }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -767,7 +817,7 @@ func scenarioReorder(o fabricChaosOptions, specs []core.Spec, refFP string) (r s
 	var workers []*chaosWorker
 	defer func() { stopChaosWorkers(workers) }()
 	for i := 0; i < o.nodes; i++ {
-		proxyAddr, stop, err := startReorderProxy(ln.Addr().String(), int64(o.seed)+int64(i)*1000)
+		proxyAddr, stop, err := startReorderProxy(coord.addr, int64(o.seed)+int64(i)*1000)
 		if err != nil {
 			r.failf("proxy %d: %v", i, err)
 			return r
@@ -858,33 +908,18 @@ func (p *killableProxy) Kill() {
 // must degrade lookups and fills to local-only (counted transport errors,
 // no stalls beyond the configured timeout) and the merge must stay exact.
 func scenarioCacheOutage(o fabricChaosOptions, specs []core.Spec, refFP string) (r scenarioResult) {
-	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
+	coord, err := startChaosCoord(fabric.CoordConfig{
 		HedgeDelay:       -1,
 		HeartbeatTimeout: 3 * time.Second,
 		RetryBackoff:     25 * time.Millisecond,
-	})
+	}, true)
 	if err != nil {
 		r.failf("coordinator: %v", err)
 		return r
 	}
 	defer coord.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		r.failf("fabric listener: %v", err)
-		return r
-	}
-	go func() { _ = coord.Serve(ln) }()
 
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		r.failf("http listener: %v", err)
-		return r
-	}
-	hsrv := &http.Server{Handler: fabric.NewHTTP(coord, fabric.HTTPOptions{})}
-	go func() { _ = hsrv.Serve(hln) }()
-	defer hsrv.Close()
-
-	proxy, proxyAddr, err := startKillableProxy(hln.Addr().String())
+	proxy, proxyAddr, err := startKillableProxy(coord.httpAddr)
 	if err != nil {
 		r.failf("cache proxy: %v", err)
 		return r
@@ -894,7 +929,7 @@ func scenarioCacheOutage(o fabricChaosOptions, specs []core.Spec, refFP string) 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	var remotes []*fabric.RemoteCache
-	workers, err := startChaosWorkers(ctx, o.nodes, ln.Addr().String(), func(i int) (jobs.CacheTier, error) {
+	workers, err := startChaosWorkers(ctx, o.nodes, coord.addr, func(i int) (jobs.CacheTier, error) {
 		local, err := jobs.NewCache(1024, "")
 		if err != nil {
 			return nil, err
@@ -918,17 +953,9 @@ func scenarioCacheOutage(o fabricChaosOptions, specs []core.Spec, refFP string) 
 		cells, sweepErr = coord.CellBytes(ctx, specs)
 		close(done)
 	}()
-	threshold := uint64(len(specs) / 3)
-	if threshold == 0 {
-		threshold = 1
-	}
-	outageDeadline := time.Now().Add(2 * time.Minute)
-	for coord.Metrics().ShardsCompleted < threshold {
-		if time.Now().After(outageDeadline) {
-			r.failf("sweep never reached %d committed shards", threshold)
-			return r
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := awaitThird(coord.Coordinator, len(specs)); err != nil {
+		r.failf("%v", err)
+		return r
 	}
 	proxy.Kill()
 	r.notef("remote cache tier killed after %d/%d shards", coord.Metrics().ShardsCompleted, len(specs))
@@ -950,5 +977,98 @@ func scenarioCacheOutage(o fabricChaosOptions, specs []core.Spec, refFP string) 
 		r.failf("no remote-tier transport errors recorded — the outage never bit")
 	}
 	r.notef("fingerprint held; %d remote-tier errors degraded to local compute", tierErrs)
+	return r
+}
+
+// scenarioFailstop is the fabric's acceptance drill: a coordinator with its
+// HTTP cache tier runs the full matrix on N workers, each over a tiered
+// local+remote cache, and node-0 is fail-stopped once a third of the shards
+// have committed. The coordinator must re-dispatch the dead node's shards
+// without disturbing the merge, which must equal the single-node reference
+// (and the committed fingerprint, when given). A second pass must reproduce
+// the same bytes with answers served from the shared tier.
+func scenarioFailstop(o fabricChaosOptions, specs []core.Spec, refFP, committedFP string) (r scenarioResult) {
+	coord, err := startChaosCoord(fabric.CoordConfig{
+		HedgeDelay:       500 * time.Millisecond,
+		HeartbeatTimeout: 2 * time.Second,
+		RetryBackoff:     25 * time.Millisecond,
+	}, true)
+	if err != nil {
+		r.failf("coordinator: %v", err)
+		return r
+	}
+	defer coord.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	workers, err := startChaosWorkers(ctx, o.nodes, coord.addr, func(int) (jobs.CacheTier, error) {
+		local, err := jobs.NewCache(1024, "")
+		if err != nil {
+			return nil, err
+		}
+		return jobs.NewTieredCache(local, fabric.NewRemoteCache("http://"+coord.httpAddr)), nil
+	})
+	defer stopChaosWorkers(workers)
+	if err != nil {
+		r.failf("workers: %v", err)
+		return r
+	}
+
+	done := make(chan struct{})
+	var cells [][]byte
+	var sweepErr error
+	go func() {
+		cells, sweepErr = coord.CellBytes(ctx, specs)
+		close(done)
+	}()
+	if err := awaitThird(coord.Coordinator, len(specs)); err != nil {
+		r.failf("%v", err)
+		return r
+	}
+	workers[0].cancel()
+	select {
+	case <-done:
+		r.failf("fail-stop of node-0 landed after the sweep had finished")
+	default:
+		r.notef("fail-stopped node-0 after %d/%d shards", coord.Metrics().ShardsCompleted, len(specs))
+	}
+
+	<-done
+	if sweepErr != nil {
+		r.failf("sweep after fail-stop: %v", sweepErr)
+		return r
+	}
+	fp := fabric.Fingerprint(cells)
+	if fp != refFP {
+		r.failf("fabric fingerprint %s != single-node %s", fp, refFP)
+	}
+	if committedFP != "" && fp != committedFP {
+		r.failf("fabric fingerprint %s != committed %s", fp, committedFP)
+	}
+
+	cells, err = coord.CellBytes(ctx, specs)
+	if err != nil {
+		r.failf("second pass: %v", err)
+		return r
+	}
+	if fp2 := fabric.Fingerprint(cells); fp2 != refFP {
+		r.failf("second-pass fingerprint %s != single-node %s", fp2, refFP)
+	}
+	m := coord.Metrics()
+	if m.RemoteHits == 0 {
+		r.failf("second pass produced no shared-cache hits")
+	}
+	r.notef("shards=%d redispatches=%d hedges=%d duplicates=%d remote_hits=%d",
+		m.ShardsCompleted, m.Redispatches, m.HedgesFired, m.Duplicates, m.RemoteHits)
+	lats := coord.ShardLatencies()
+	if len(lats) > 0 {
+		sort.Float64s(lats)
+		q := func(p float64) float64 { return lats[int(p*float64(len(lats)-1))] * 1e3 }
+		r.notef("shard latency p50=%.1fms p99=%.1fms max=%.1fms over %d commits",
+			q(0.50), q(0.99), q(1), len(lats))
+	}
+	if len(r.Failures) == 0 {
+		r.notef("fingerprint %s matches reference on both passes", fp)
+	}
 	return r
 }

@@ -61,9 +61,9 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "on-disk result store (implies -cache)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "executor worker-pool size (with -cache)")
 	fabricMode := flag.Bool("fabric", false, "run the distributed-fabric chaos scenarios instead of the fault sweep")
-	fabricScenario := flag.String("fabric-scenario", "all", "fabric chaos scenario: coord-crash, zombie, reorder, cache-outage, or all")
+	fabricScenario := flag.String("fabric-scenario", "all", "fabric chaos scenario: coord-crash, zombie, reorder, cache-outage, failstop, or all")
 	fabricNodes := flag.Int("fabric-nodes", 3, "fabric chaos: in-process worker nodes")
-	fabricFP := flag.String("fabric-fingerprint", "", "fabric chaos: committed fingerprint file to gate coord-crash recovery against")
+	fabricFP := flag.String("fabric-fingerprint", "", "fabric chaos: committed fingerprint file to gate the reference, coord-crash and failstop against")
 	fabricOut := flag.String("fabric-out", "", "fabric chaos: write a JSON report")
 	prof := profiling.AddFlags("chaos")
 	flag.Parse()

@@ -125,7 +125,7 @@ func TestReportInvariantAccounting(t *testing.T) {
 	col.add(outcome{tenant: "a", errored: true})
 	col.add(outcome{tenant: "a", accepted: true}) // unresolved
 
-	rep := buildReport(col, scenarios["adversarial"], 1, time.Second, "test", "wfq")
+	rep := buildReport(col, scenarios["adversarial"], 1, time.Second, "test")
 	rep.checkInvariants()
 
 	want := map[string]bool{

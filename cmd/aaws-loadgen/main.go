@@ -6,10 +6,9 @@
 //
 // The corpus is fully determined by -seed and -scenario, so two runs against
 // differently configured servers submit identical work and their JSON
-// reports are comparable line for line. That is the point: the bundled
-// "adversarial" scenario run once against -qos wfq and once against
-// -qos fifo is the acceptance demonstration that weighted-fair scheduling
-// plus per-tenant cache quotas isolate a victim tenant from a flood (see
+// reports are comparable line for line. The bundled "adversarial" scenario
+// is the acceptance demonstration that weighted-fair scheduling plus
+// per-tenant cache quotas isolate a victim tenant from a flood (see
 // examples/qos-overload/).
 //
 // Usage:
@@ -18,7 +17,7 @@
 //
 //	# Self-contained: boot an in-process server on a loopback port and
 //	# drive it, no external process needed (the CI soak mode):
-//	aaws-loadgen -self -self-qos wfq -scenario adversarial -duration 20s -check
+//	aaws-loadgen -self -scenario adversarial -duration 20s -check
 //
 // With -check, invariant violations (transport errors, accepted jobs that
 // never resolve, accounting mismatches, goroutine leaks in self mode) exit
@@ -26,8 +25,8 @@
 // they are regression telemetry, not gates.
 //
 // With -target-coord the same scenarios drive a fabric coordinator node
-// (aaws-serve -fabric-addr) instead of a single server: the run is labeled
-// "fabric" and the report gains a remote_cache section with the shared
+// (aaws-serve -fabric-addr) instead of a single server: the report gains a
+// remote_cache section with the shared
 // result tier's hit/miss split scraped from the node's /metrics.
 package main
 
@@ -46,20 +45,18 @@ import (
 
 func main() {
 	addr := flag.String("addr", "", "target server base URL (e.g. http://localhost:8080); mutually exclusive with -self")
-	targetCoord := flag.String("target-coord", "", "fabric coordinator node base URL (aaws-serve -fabric-addr, e.g. http://localhost:8090): like -addr, but labels the run \"fabric\" and reports the shared remote-cache hit rate from the node's metrics")
+	targetCoord := flag.String("target-coord", "", "fabric coordinator node base URL (aaws-serve -fabric-addr, e.g. http://localhost:8090): like -addr, but also reports the shared remote-cache hit rate from the node's metrics")
 	self := flag.Bool("self", false, "boot an in-process server on a loopback port and drive it")
-	selfQoS := flag.String("self-qos", "wfq", "self-server queue policy: wfq (weighted-fair + tenant cache quotas) or fifo (legacy, no quotas)")
 	selfWorkers := flag.Int("self-workers", 1, "self-server worker pool size")
 	selfQueue := flag.Int("self-queue", 48, "self-server queue depth")
 	selfTenantDepth := flag.Int("self-max-queue-per-tenant", 24, "self-server per-tenant queue quota")
 	selfMaxWait := flag.Duration("self-max-wait", 250*time.Millisecond, "self-server queue-deadline shed ceiling")
-	selfCache := flag.Int("self-cache-entries", 64, "self-server result-cache capacity (tenant quota = a quarter of it under wfq)")
+	selfCache := flag.Int("self-cache-entries", 64, "self-server result-cache capacity (tenant quota = a quarter of it)")
 	scenarioName := flag.String("scenario", "mixed", "traffic scenario: "+scenarioNames())
 	seed := flag.Int64("seed", 1, "corpus seed (same seed + scenario = identical submissions)")
 	duration := flag.Duration("duration", 30*time.Second, "submission window")
 	grace := flag.Duration("grace", 15*time.Second, "drain grace for accepted jobs after the window closes")
 	out := flag.String("out", "", "JSON report path (default stdout)")
-	policyLabel := flag.String("policy-label", "", "qos_policy label for the report when driving an external server")
 	check := flag.Bool("check", false, "exit 1 on invariant violations")
 	elastic := flag.Bool("elastic", false, "submit every job and sweep with elastic work-stealing enabled")
 	budgetP99 := flag.Float64("budget-p99-ms", 0, "warn when a protected tenant's p99 exceeds this (ms, 0 = off)")
@@ -87,26 +84,18 @@ func main() {
 
 	goroutineBaseline := runtime.NumGoroutine()
 	target := *addr
-	policy := *policyLabel
 	var shutdownSelf func() error
 	switch {
 	case *self:
 		var err error
-		target, shutdownSelf, err = bootSelf(*selfQoS, *selfWorkers, *selfQueue, *selfTenantDepth, *selfMaxWait, *selfCache)
+		target, shutdownSelf, err = bootSelf(*selfWorkers, *selfQueue, *selfTenantDepth, *selfMaxWait, *selfCache)
 		if err != nil {
 			fail(err)
 		}
-		policy = *selfQoS
 	case *targetCoord != "":
 		// A coordinator node is an aaws-serve, so the scenario machinery
 		// drives it unchanged.
 		target = *targetCoord
-		if policy == "" {
-			policy = "fabric"
-		}
-	}
-	if policy == "" {
-		policy = "unknown"
 	}
 
 	cl := newClient(target)
@@ -118,7 +107,7 @@ func main() {
 	col := newCollector()
 	runScenario(cl, sc, *seed, *duration, *grace, col)
 
-	rep := buildReport(col, sc, *seed, *duration, target, policy)
+	rep := buildReport(col, sc, *seed, *duration, target)
 	if *targetCoord != "" {
 		rc, err := scrapeRemoteCache(target)
 		if err != nil {
@@ -158,12 +147,9 @@ func main() {
 }
 
 // bootSelf stands up a full server stack (cache, executor, HTTP API) on a
-// loopback port. "wfq" gets the QoS stack: weighted-fair scheduling,
+// loopback port with the full QoS stack: weighted-fair scheduling, the
 // per-tenant queue quota, and tenant cache quotas at a quarter of capacity.
-// "fifo" is the legacy configuration those features replaced — same workers,
-// queue bound, and shed ceiling, but one global queue and an unpartitioned
-// cache — so an A/B pair of runs isolates the QoS layer's effect.
-func bootSelf(qos string, workers, queueDepth, tenantDepth int, maxWait time.Duration, cacheEntries int) (string, func() error, error) {
+func bootSelf(workers, queueDepth, tenantDepth int, maxWait time.Duration, cacheEntries int) (string, func() error, error) {
 	cache, err := jobs.NewCache(cacheEntries, "")
 	if err != nil {
 		return "", nil, err
@@ -173,24 +159,16 @@ func bootSelf(qos string, workers, queueDepth, tenantDepth int, maxWait time.Dur
 		QueueDepth:     queueDepth,
 		DefaultTimeout: time.Minute,
 		Admission: jobs.AdmissionConfig{
-			MaxWait: maxWait,
+			MaxWait:        maxWait,
+			PerTenantDepth: tenantDepth,
 		},
 		Cache: cache,
 	}
-	switch qos {
-	case "wfq":
-		cfg.QoS = jobs.QoSConfig{Policy: jobs.PolicyWFQ}
-		cfg.Admission.PerTenantDepth = tenantDepth
-		quota := cacheEntries / 4
-		if quota < 1 {
-			quota = 1
-		}
-		cache.SetTenantQuotas(0, quota)
-	case "fifo":
-		cfg.QoS = jobs.QoSConfig{Policy: jobs.PolicyFIFO}
-	default:
-		return "", nil, fmt.Errorf("aaws-loadgen: -self-qos must be wfq or fifo, got %q", qos)
+	quota := cacheEntries / 4
+	if quota < 1 {
+		quota = 1
 	}
+	cache.SetTenantQuotas(0, quota)
 	ex := jobs.NewExecutor(cfg)
 	srv := &http.Server{Handler: jobs.NewServer(ex)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

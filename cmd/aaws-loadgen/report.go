@@ -14,17 +14,14 @@ import (
 )
 
 // Report is the run artifact: one JSON document whose shape is stable across
-// runs, so two reports (e.g. wfq vs fifo over the same scenario and seed)
-// diff meaningfully.
+// runs, so two reports (e.g. two server configurations over the same
+// scenario and seed) diff meaningfully.
 type Report struct {
 	Tool      string  `json:"tool"`
 	Scenario  string  `json:"scenario"`
 	Seed      int64   `json:"seed"`
 	DurationS float64 `json:"duration_s"`
 	Target    string  `json:"target"`
-	// QoSPolicy labels the server configuration under test ("wfq", "fifo",
-	// or "unknown" when driving an external server without -policy-label).
-	QoSPolicy string `json:"qos_policy"`
 
 	Tenants map[string]TenantReport `json:"tenants"`
 	// RemoteCache is the coordinator's shared result-tier effectiveness over
@@ -151,14 +148,13 @@ func jainIndex(xs []float64) float64 {
 func round(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 // buildReport folds the collector into the artifact.
-func buildReport(col *collector, sc scenario, seed int64, duration time.Duration, target, policy string) *Report {
+func buildReport(col *collector, sc scenario, seed int64, duration time.Duration, target string) *Report {
 	rep := &Report{
 		Tool:      "aaws-loadgen",
 		Scenario:  sc.Name,
 		Seed:      seed,
 		DurationS: duration.Seconds(),
 		Target:    target,
-		QoSPolicy: policy,
 		Tenants:   make(map[string]TenantReport, len(col.by)),
 	}
 	col.mu.Lock()
@@ -267,8 +263,8 @@ func (rep *Report) summarize() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "aaws-loadgen: scenario=%s policy=%s fairness=%.3f\n",
-		rep.Scenario, rep.QoSPolicy, rep.FairnessIndex)
+	fmt.Fprintf(os.Stderr, "aaws-loadgen: scenario=%s fairness=%.3f\n",
+		rep.Scenario, rep.FairnessIndex)
 	for _, n := range names {
 		tr := rep.Tenants[n]
 		fmt.Fprintf(os.Stderr,

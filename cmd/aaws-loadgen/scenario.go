@@ -11,9 +11,8 @@ import (
 // A scenario is a named multi-tenant traffic shape: which tenants exist, how
 // each one paces itself (open-loop QPS or closed-loop concurrency), and what
 // mix of job kinds it submits. Scenarios are fully determined by the run
-// seed, so two runs against different server configurations (e.g. -qos wfq
-// vs -qos fifo) submit the same specs and their reports are comparable
-// line for line.
+// seed, so two runs against different server configurations submit the same
+// specs and their reports are comparable line for line.
 type scenario struct {
 	Name        string
 	Description string

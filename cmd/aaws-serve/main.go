@@ -79,7 +79,6 @@ func main() {
 	maxWait := flag.Duration("max-wait", 0, "shed submissions whose estimated queue wait exceeds this (0 = shed only vs per-job deadlines)")
 	maxBodyKB := flag.Int("max-body-kb", 1024, "max request body size (KiB) before 413")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener (net/http/pprof under /debug/pprof/); keep it off public interfaces")
-	qos := flag.String("qos", "wfq", "ready-queue policy: wfq (tenant-aware weighted-fair) or fifo (legacy global priority queue)")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant WFQ weights, e.g. 'team-a=2,team-b=1'")
 	defaultWeight := flag.Float64("default-tenant-weight", 1, "WFQ weight for tenants not listed in -tenant-weights")
 	perTenantDepth := flag.Int("max-queue-per-tenant", 0, "max queued jobs per tenant (0 = no per-tenant cap)")
@@ -123,15 +122,6 @@ func main() {
 		})
 		tier = jobs.NewTieredCache(cache, remoteCache)
 	}
-	var policy jobs.SchedPolicy
-	switch *qos {
-	case "wfq":
-		policy = jobs.PolicyWFQ
-	case "fifo":
-		policy = jobs.PolicyFIFO
-	default:
-		fail(fmt.Errorf("aaws-serve: -qos must be wfq or fifo, got %q", *qos))
-	}
 	weights, err := jobs.ParseWeights(*tenantWeights)
 	if err != nil {
 		fail(err)
@@ -159,6 +149,7 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxRetries:     *retries,
 		Cache:          tier,
+		Journal:        journal,
 		Admission: jobs.AdmissionConfig{
 			PerPriorityDepth: *perPrioDepth,
 			PerTenantDepth:   *perTenantDepth,
@@ -166,15 +157,9 @@ func main() {
 			MaxWait:          *maxWait,
 		},
 		QoS: jobs.QoSConfig{
-			Policy:        policy,
 			DefaultWeight: *defaultWeight,
 			Weights:       weights,
 		},
-	}
-	if journal != nil {
-		// Assign only when non-nil: a typed-nil *Journal inside the Store
-		// interface would read as "journaled" to the executor.
-		cfg.Journal = journal
 	}
 	opts := jobs.ServerOptions{
 		RatePerSec:   *rate,
@@ -260,7 +245,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("aaws-serve listening on %s (%d workers, qos %s, cache %d", *addr, *workers, policy, *cacheSize)
+	fmt.Printf("aaws-serve listening on %s (%d workers, cache %d", *addr, *workers, *cacheSize)
 	if *cacheDir != "" {
 		fmt.Printf(" + disk %s", *cacheDir)
 	}

@@ -230,7 +230,7 @@ func (b *batchRun) runGroup(g int, eng *sim.Engine, envs map[partitionKey]*cellE
 		res, engOK, err := runCell(b.ctx, spec, env, in)
 		if err != nil {
 			b.fail(g, fmt.Errorf("core: batch cell %d (%s/%s/%s): %w",
-				i, spec.Kernel, spec.System, spec.Variant, err), nil)
+				i, spec.Kernel, MachineName(spec), spec.Variant, err), nil)
 			return engOK
 		}
 		b.results[i] = res

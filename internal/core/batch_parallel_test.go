@@ -117,7 +117,8 @@ func TestBatchIndependentOfGOMAXPROCS(t *testing.T) {
 // TestBatchParallelErrorMatchesSerial: with failing cells in two groups,
 // every width reports the failure a serial run meets first — the last cell
 // of the earlier group — even though a parallel worker reaches the later
-// group's failure (its first cell) sooner.
+// group's failure (its first cell) sooner. The failing cells run on a 2B6L
+// machine, which the error must name.
 func TestBatchParallelErrorMatchesSerial(t *testing.T) {
 	var specs []core.Spec
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -125,8 +126,10 @@ func TestBatchParallelErrorMatchesSerial(t *testing.T) {
 			specs = append(specs, core.Spec{Kernel: "cilksort", Variant: v, Seed: seed, Scale: 0.05})
 		}
 	}
-	specs[2*3+2].MaxEvents = 100 // group 2, last cell
-	specs[5*3].MaxEvents = 100   // group 5, first cell
+	for _, i := range []int{2*3 + 2, 5 * 3} { // group 2's last cell, group 5's first
+		specs[i].MaxEvents = 100
+		specs[i].NBig, specs[i].NLit = 2, 6
+	}
 	errs := map[int]string{}
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(procs, func() {
@@ -137,8 +140,8 @@ func TestBatchParallelErrorMatchesSerial(t *testing.T) {
 			errs[procs] = err.Error()
 		})
 	}
-	if !strings.Contains(errs[1], "batch cell 8 ") {
-		t.Errorf("serial batch error does not name cell 8: %s", errs[1])
+	if !strings.Contains(errs[1], "batch cell 8 (cilksort/2B6L/") {
+		t.Errorf("serial batch error does not name cell 8 and its 2B6L machine: %s", errs[1])
 	}
 	if errs[4] != errs[1] {
 		t.Errorf("GOMAXPROCS=4 error differs from serial:\n  got  %s\n  want %s", errs[4], errs[1])

@@ -558,13 +558,13 @@ func runCell(ctx context.Context, spec Spec, env *cellEnv, in kernels.Input) (_ 
 
 // executeChecked runs the program under the liveness budget and converts
 // any internal panic into an error that names the failing configuration —
-// the kernel, seed and fault schedule are everything needed to replay the
-// run deterministically.
+// the kernel, machine, seed and fault schedule are everything needed to
+// replay the run deterministically.
 func executeChecked(rt *wsrt.Runtime, program func(r *wsrt.Run), spec Spec) (rep wsrt.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: internal failure running %s/%s/%s seed=%d faults=%+v: %v\n%s",
-				spec.Kernel, spec.System, spec.Variant, spec.Seed, spec.Faults, r, debug.Stack())
+				spec.Kernel, MachineName(spec), spec.Variant, spec.Seed, spec.Faults, r, debug.Stack())
 		}
 	}()
 	return rt.ExecuteChecked(program)
@@ -579,7 +579,7 @@ func MustRun(spec Spec) Result {
 	}
 	if r.CheckErr != nil {
 		panic(fmt.Sprintf("core: %s/%s/%s failed validation: %v",
-			spec.Kernel, spec.System, spec.Variant, r.CheckErr))
+			spec.Kernel, MachineName(spec), spec.Variant, r.CheckErr))
 	}
 	return r
 }

@@ -184,7 +184,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 func (c *Coordinator) Metrics() Metrics { return c.inst.snapshot() }
 
 // ShardLatencies returns the recorded dispatch→commit latencies in seconds
-// (bounded; the first 8192 commits), for the smoke-test artifact.
+// (bounded; the first 8192 commits).
 func (c *Coordinator) ShardLatencies() []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +147,29 @@ func TestSubmitBatchAtomicRejection(t *testing.T) {
 		t.Errorf("canceled = %d after atomic batch rejection, want 2", m.Canceled)
 	}
 	_ = blocker
+}
+
+// TestSubmitBatchRejectedCellNamesMachine: a cell rejected at validation
+// fails the batch with an error naming that cell's own machine — here an
+// N-way topology — not the spec's default System.
+func TestSubmitBatchRejectedCellNamesMachine(t *testing.T) {
+	ex := jobs.NewExecutor(jobs.Config{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
+			return fakeResult(spec), nil
+		},
+	})
+	defer ex.Close()
+
+	bad := testSpec(2)
+	bad.Topology = []core.CoreClass{{Count: 2, Speed: 2, Power: 3}, {Count: 70}} // 72 cores: over the limit
+	_, err := ex.SubmitBatch([]core.Spec{testSpec(1), bad}, jobs.SubmitOptions{})
+	if err == nil {
+		t.Fatal("batch with an invalid topology cell was accepted")
+	}
+	if !strings.Contains(err.Error(), "batch cell 1 (cilksort/2x2/3,70/") {
+		t.Fatalf("error does not name cell 1's machine 2x2/3,70: %v", err)
+	}
 }
 
 // TestSubmitBatchMemberCancel: canceling a queued gang member skips that

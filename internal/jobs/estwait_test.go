@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestEstWaitLocked pins the queue-wait estimator across policies and
-// classes: per-class EWMAs (not one global average) price the backlog, FIFO
-// estimates cover the whole shared queue, and WFQ estimates are tenant-local
-// (another tenant's flood must not inflate a victim's estimate).
+// TestEstWaitLocked pins the queue-wait estimator across classes: per-class
+// EWMAs (not one global average) price the backlog, and estimates are
+// tenant-local (another tenant's flood must not inflate a victim's estimate).
 func TestEstWaitLocked(t *testing.T) {
 	type backlog struct {
 		tenant string
@@ -17,7 +16,6 @@ func TestEstWaitLocked(t *testing.T) {
 	}
 	cases := []struct {
 		name      string
-		policy    SchedPolicy
 		workers   int
 		sweepWait int // sweep jobs holding for a free slot
 		slots     int
@@ -29,48 +27,13 @@ func TestEstWaitLocked(t *testing.T) {
 	}{
 		{
 			name:    "unseeded EWMA means no estimate",
-			policy:  PolicyWFQ,
 			workers: 4,
 			backlog: []backlog{{"a", ClassInteractive, 10}},
 			tenant:  "a",
 			want:    0,
 		},
 		{
-			name:     "fifo empty queue",
-			policy:   PolicyFIFO,
-			workers:  2,
-			avgByCls: [2]float64{0.1, 1},
-			tenant:   "a",
-			want:     0,
-		},
-		{
-			name:     "fifo homogeneous interactive backlog",
-			policy:   PolicyFIFO,
-			workers:  2,
-			avgByCls: [2]float64{0.1, 0},
-			backlog:  []backlog{{"a", ClassInteractive, 4}},
-			tenant:   "b",
-			class:    ClassInteractive,
-			// 4 jobs x 0.1s over 2 workers + own 0.1 x (2-1)/2.
-			want: 4*0.1/2 + 0.1*1/2,
-		},
-		{
-			name:     "fifo prices sweep backlog at sweep cost",
-			policy:   PolicyFIFO,
-			workers:  4,
-			avgByCls: [2]float64{0.01, 2},
-			backlog: []backlog{
-				{"a", ClassInteractive, 8},
-				{"a", ClassSweep, 3},
-			},
-			tenant: "b",
-			class:  ClassInteractive,
-			// Backlog cost (8x0.01 + 3x2)/4 + own class residual.
-			want: (8*0.01+3*2)/4 + 0.01*3/4,
-		},
-		{
 			name:     "wfq victim with empty queue ignores the flood",
-			policy:   PolicyWFQ,
 			workers:  2,
 			avgByCls: [2]float64{0.1, 0},
 			backlog:  []backlog{{"flood", ClassInteractive, 1000}},
@@ -80,7 +43,6 @@ func TestEstWaitLocked(t *testing.T) {
 		},
 		{
 			name:     "wfq own backlog at full pool when alone",
-			policy:   PolicyWFQ,
 			workers:  2,
 			avgByCls: [2]float64{0.1, 0},
 			backlog:  []backlog{{"a", ClassInteractive, 6}},
@@ -91,7 +53,6 @@ func TestEstWaitLocked(t *testing.T) {
 		},
 		{
 			name:     "wfq equal-weight contention halves the rate",
-			policy:   PolicyWFQ,
 			workers:  2,
 			avgByCls: [2]float64{0.1, 0},
 			backlog: []backlog{
@@ -105,7 +66,6 @@ func TestEstWaitLocked(t *testing.T) {
 		},
 		{
 			name:     "wfq interactive arrival skips own sweep backlog",
-			policy:   PolicyWFQ,
 			workers:  4,
 			avgByCls: [2]float64{0.1, 5},
 			backlog: []backlog{
@@ -119,7 +79,6 @@ func TestEstWaitLocked(t *testing.T) {
 		},
 		{
 			name:      "wfq sweep arrival counts deferred sweeps and slot cap",
-			policy:    PolicyWFQ,
 			workers:   8,
 			sweepWait: 3,
 			slots:     2,
@@ -137,22 +96,16 @@ func TestEstWaitLocked(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := &Executor{cfg: Config{
 				Workers:   tc.workers,
-				QoS:       QoSConfig{Policy: tc.policy},
 				Admission: AdmissionConfig{SweepSlots: tc.slots},
 			}}
 			ex.avgRunSecByClass = tc.avgByCls
 			ex.avgRunSec = (tc.avgByCls[0] + tc.avgByCls[1]) / 2
 			ex.sweepWait = make([]*Job, tc.sweepWait)
-			if tc.policy == PolicyFIFO {
-				ex.sched = newFIFOSched()
-			} else {
-				ex.sched = newWFQSched(ex.cfg.QoS, ex.estCostLocked)
-			}
+			ex.sched = newWFQSched(ex.cfg.QoS, ex.estCostLocked)
 			var seq uint64
 			for _, b := range tc.backlog {
 				for i := 0; i < b.n; i++ {
 					seq++
-					ex.queuedByClass[classIdx(b.class)]++
 					ex.sched.Push(&Job{tenant: b.tenant, class: b.class, seq: seq})
 				}
 			}

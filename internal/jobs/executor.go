@@ -65,8 +65,7 @@ type Config struct {
 	// (fsync before Submit returns) and each job's lifecycle, making
 	// queued and running jobs survive a process crash: open the journal
 	// with OpenJournal and hand its pending jobs to Recover on startup.
-	// Any Store works; *Journal is the segmented-WAL implementation.
-	Journal Store
+	Journal *Journal
 	// ProgressEvents is the stride, in simulation events, between
 	// journaled progress records for a running job (default 8M events;
 	// only meaningful with Journal set).
@@ -74,9 +73,8 @@ type Config struct {
 	// Admission tunes overload protection (zero value = none beyond
 	// QueueDepth).
 	Admission AdmissionConfig
-	// QoS tunes the multi-tenant scheduler (zero value = weighted-fair
-	// queueing with every tenant at weight 1; Policy PolicyFIFO restores
-	// the legacy global priority+FIFO queue).
+	// QoS tunes the weighted-fair scheduler (zero value = every tenant at
+	// weight 1).
 	QoS QoSConfig
 	// Runner overrides how specs execute (default core.RunCtx).
 	Runner Runner
@@ -131,9 +129,7 @@ type Metrics struct {
 	// cannot doom cheap interactive arrivals.
 	AvgRunMs        float64
 	AvgRunMsByClass map[string]float64
-	// QoSPolicy names the active scheduler ("wfq" or "fifo"); PerTenant
-	// breaks the service down by tenant identity.
-	QoSPolicy string
+	// PerTenant breaks the service down by tenant identity.
 	PerTenant map[string]TenantMetrics
 	Cache     CacheStats
 	// Journal is the zero value unless the executor is journaled.
@@ -154,7 +150,7 @@ type TenantMetrics struct {
 	Queued    int
 	Weight    float64
 	// VLag is the tenant's virtual-service lead over the scheduler's
-	// global virtual time (WFQ only; 0 = least-served backlogged tenant).
+	// global virtual time (0 = least-served backlogged tenant).
 	VLag float64
 	// CacheBytes / CacheEntries are the tenant's owned share of the
 	// in-memory result cache.
@@ -171,18 +167,17 @@ type KernelMetrics struct {
 }
 
 // Executor runs jobs on a bounded worker pool over a tenant-aware
-// weighted-fair queue (or the legacy priority+FIFO queue in PolicyFIFO mode).
+// weighted-fair queue.
 type Executor struct {
 	cfg Config
 
 	mu               sync.Mutex
 	cond             *sync.Cond
-	sched            scheduler
+	sched            *wfqSched
 	jobs             map[string]*Job
 	doneOrder        []string        // terminal job IDs, oldest first (retention)
 	inflight         map[string]*Job // spec-hash → primary job (for coalescing)
 	queuedByPrio     map[int]int
-	queuedByClass    [2]int
 	queuedByTenant   map[string]int
 	gangQueued       int // fresh gang-member cells awaiting dispatch
 	sweepRunning     int
@@ -262,11 +257,7 @@ func NewExecutor(cfg Config) *Executor {
 		perTenant:      make(map[string]*tenantCounters),
 		reg:            obs.NewRegistry(),
 	}
-	if cfg.QoS.Policy == PolicyFIFO {
-		ex.sched = newFIFOSched()
-	} else {
-		ex.sched = newWFQSched(cfg.QoS, ex.estCostLocked)
-	}
+	ex.sched = newWFQSched(cfg.QoS, ex.estCostLocked)
 	if cfg.Journal != nil {
 		// Job IDs embed the submission sequence; starting past the
 		// journal's high-water mark means no submission — not even one
@@ -483,7 +474,7 @@ func (ex *Executor) SubmitBatch(specs []core.Spec, opts SubmitOptions) ([]*Job, 
 				ex.completeLocked(g, nil, context.Canceled)
 			}
 			return nil, fmt.Errorf("jobs: batch cell %d (%s/%s/%s): %w",
-				i, spec.Kernel, spec.System, spec.Variant, err)
+				i, spec.Kernel, core.MachineName(spec), spec.Variant, err)
 		}
 		out[i] = job
 		if fresh {
@@ -503,9 +494,8 @@ func (ex *Executor) SubmitBatch(specs []core.Spec, opts SubmitOptions) ([]*Job, 
 			state:    StateQueued,
 			gang:     gang,
 		}
-		// The dispatch job is the gang's single scheduler entry and single
-		// class entry; the members carry the depth and share accounting.
-		ex.queuedByClass[classIdx(d.class)]++
+		// The dispatch job is the gang's single scheduler entry; the
+		// members carry the depth and share accounting.
 		ex.sched.Push(d)
 		ex.cond.Signal()
 	}
@@ -579,7 +569,6 @@ func (ex *Executor) journalSubmitLocked(job *Job) error {
 func (ex *Executor) enqueueLocked(job *Job) {
 	job.inQueue = true
 	ex.queuedByPrio[job.priority]++
-	ex.queuedByClass[classIdx(job.class)]++
 	ex.queuedByTenant[job.tenant]++
 	ex.sched.Push(job)
 }
@@ -587,8 +576,8 @@ func (ex *Executor) enqueueLocked(job *Job) {
 // memberQueuedLocked counts a fresh gang member against admission
 // occupancy — queue depth, per-tenant and per-priority shares — without
 // entering the scheduler; the gang's dispatch job is the only scheduler
-// entry (and the only class entry: the batch runs as one unit on one
-// worker, matching the per-batch wait-estimate cost).
+// entry (the batch runs as one unit on one worker, matching the per-batch
+// wait-estimate cost).
 func (ex *Executor) memberQueuedLocked(g *Job) {
 	g.inQueue = true
 	ex.gangQueued++
@@ -614,10 +603,9 @@ func (ex *Executor) memberDequeuedLocked(g *Job) {
 }
 
 // dequeuedLocked undoes enqueue accounting for a popped job. For a gang
-// dispatch job that means the class entry plus every member's share.
+// dispatch job that means every member's share.
 func (ex *Executor) dequeuedLocked(job *Job) {
 	if job.gang != nil {
-		ex.queuedByClass[classIdx(job.class)]--
 		for _, g := range job.gang {
 			ex.memberDequeuedLocked(g)
 		}
@@ -629,7 +617,6 @@ func (ex *Executor) dequeuedLocked(job *Job) {
 		if ex.queuedByPrio[job.priority] <= 0 {
 			delete(ex.queuedByPrio, job.priority)
 		}
-		ex.queuedByClass[classIdx(job.class)]--
 		ex.queuedByTenant[job.tenant]--
 		if ex.queuedByTenant[job.tenant] <= 0 {
 			delete(ex.queuedByTenant, job.tenant)
@@ -912,7 +899,6 @@ func (ex *Executor) Metrics() Metrics {
 		ClassInteractive.String(): ex.avgRunSecByClass[0] * 1e3,
 		ClassSweep.String():       ex.avgRunSecByClass[1] * 1e3,
 	}
-	m.QoSPolicy = ex.cfg.QoS.Policy.String()
 	if ex.cfg.Cache != nil {
 		m.Cache = ex.cfg.Cache.Stats()
 	}

@@ -29,7 +29,6 @@ func TestRecoveryPreservesTenantWFQ(t *testing.T) {
 	ex1 := jobs.NewExecutor(jobs.Config{
 		Workers: 1,
 		Journal: j1,
-		QoS:     jobs.QoSConfig{Policy: jobs.PolicyWFQ},
 		Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
 			once.Do(func() { close(started) })
 			select {
@@ -76,7 +75,6 @@ func TestRecoveryPreservesTenantWFQ(t *testing.T) {
 	ex2 := jobs.NewExecutor(jobs.Config{
 		Workers: 1,
 		Journal: j2,
-		QoS:     jobs.QoSConfig{Policy: jobs.PolicyWFQ},
 		Runner: func(ctx context.Context, spec core.Spec) (core.Result, error) {
 			select {
 			case <-startGate:

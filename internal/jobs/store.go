@@ -2,11 +2,9 @@ package jobs
 
 import "sync"
 
-// This file defines the pluggable storage seams the executor runs against.
-// The concrete memory+disk implementations in cache.go and journal.go are one
-// backend among several: anything satisfying CacheTier can stand in for the
-// result cache (a remote tier, a tiered local+remote composite) and anything
-// satisfying Store can stand in for the write-ahead journal.
+// This file defines the result-cache seam the executor runs against:
+// anything satisfying CacheTier can stand in for the local memory+disk
+// *Cache (cache.go), such as a remote tier or the TieredCache composite.
 
 // CacheTier is a content-addressed result store: keys are spec hashes
 // (SpecHash), values are canonical outcome bytes (CanonicalJSON of Outcome).
@@ -23,35 +21,10 @@ type CacheTier interface {
 	Stats() CacheStats
 }
 
-// Store is the durable job-lifecycle log the executor write-ahead-logs
-// against: every accepted submission and each state transition, replayable
-// into Pending jobs after a crash. *Journal is the segmented-WAL
-// implementation. Implementations must be safe for concurrent use.
-type Store interface {
-	// Submit durably records an accepted submission before the executor
-	// acknowledges it; an error fails the submission.
-	Submit(p Pending) error
-	// Start records an execution attempt beginning.
-	Start(id string, attempt int)
-	// Progress records simulated-event progress for a running job.
-	Progress(id string, events uint64)
-	// Done / Fail / Cancel record the terminal transition.
-	Done(id, resultHash string)
-	Fail(id, errMsg string)
-	Cancel(id string)
-	// MaxSeq returns the highest journaled sequence number, so a recovering
-	// executor never re-issues a job ID.
-	MaxSeq() uint64
-	// Metrics reports log health for /metrics.
-	Metrics() JournalMetrics
-	Close() error
-}
-
-// The concrete implementations must keep satisfying the seams.
+// The concrete implementations must keep satisfying the seam.
 var (
 	_ CacheTier = (*Cache)(nil)
 	_ CacheTier = (*TieredCache)(nil)
-	_ Store     = (*Journal)(nil)
 )
 
 // RemoteTierStats reports the remote tier's contribution inside a

@@ -13,7 +13,7 @@ import (
 // resource, and the same marginal-utility discipline the runtime applies to
 // core allocation applies to multiplexing tenants across it. Instead of one
 // global priority+FIFO queue — which a single chatty tenant can monopolize —
-// the default scheduler is a deficit-style weighted-fair queue (DWFQ):
+// the executor's ready queue is a deficit-style weighted-fair queue (DWFQ):
 //
 //   - every queued job belongs to a tenant (client identity from admission);
 //   - each tenant accumulates normalized virtual service ("work"): each
@@ -28,38 +28,15 @@ import (
 //     most its own tenant's interactive backlog plus one cross-tenant round),
 //     and within a class the legacy (priority desc, seq asc) order holds.
 //
-// With a single tenant the DWFQ degenerates to exactly the legacy ordering,
-// so single-client deployments and the legacy `-qos fifo` mode behave
-// identically job-for-job. Scheduling never affects results: jobs are
+// With a single tenant the DWFQ keeps the legacy (priority desc, seq asc)
+// order within each class, but still serves that tenant's interactive jobs
+// before its queued sweep jobs. Scheduling never affects results: jobs are
 // content-addressed and deterministic, so WFQ only reorders *when* a spec
 // runs, never what it produces.
 
-// SchedPolicy selects the executor's ready-queue discipline.
-type SchedPolicy int
-
-const (
-	// PolicyWFQ (the default) is tenant-aware deficit-weighted fair
-	// queueing.
-	PolicyWFQ SchedPolicy = iota
-	// PolicyFIFO is the legacy single global priority+FIFO queue with no
-	// tenant isolation. Kept flag-selectable for A/B comparison of overload
-	// behavior (see cmd/aaws-loadgen).
-	PolicyFIFO
-)
-
-// String implements fmt.Stringer.
-func (p SchedPolicy) String() string {
-	if p == PolicyFIFO {
-		return "fifo"
-	}
-	return "wfq"
-}
-
-// QoSConfig tunes the multi-tenant scheduler. The zero value enables WFQ
-// with every tenant at weight 1.
+// QoSConfig tunes the multi-tenant scheduler. The zero value weights every
+// tenant at 1.
 type QoSConfig struct {
-	// Policy selects WFQ (default) or the legacy FIFO queue.
-	Policy SchedPolicy
 	// DefaultWeight is the weight of tenants absent from Weights
 	// (values <= 0 mean 1).
 	DefaultWeight float64
@@ -96,25 +73,6 @@ func ParseWeights(s string) (map[string]float64, error) {
 	return weights, nil
 }
 
-// scheduler is the executor's ready queue. All methods are called with the
-// executor mutex held.
-type scheduler interface {
-	Push(*Job)
-	Pop() *Job // nil when empty
-	Len() int
-	// Dispatched charges the tenant's virtual-service accounting for a job
-	// that actually started running (cost = estimated seconds).
-	Dispatched(job *Job, cost float64)
-	// TenantDepth returns the queued count for one tenant (interactive +
-	// sweep). WaitView returns the inputs for a per-tenant wait estimate:
-	// jobs of this tenant ahead of a new arrival of the given class, and
-	// the tenant's share of the pool (weight over the sum of backlogged
-	// weights). The FIFO scheduler reports shared-queue equivalents.
-	WaitView(tenant string, class Class) (ownAhead int, share float64)
-	// Tenants snapshots per-tenant queue state for metrics (nil for FIFO).
-	Tenants() []TenantQueueStat
-}
-
 // TenantQueueStat is a point-in-time view of one tenant's queue state.
 type TenantQueueStat struct {
 	Tenant string
@@ -124,26 +82,6 @@ type TenantQueueStat struct {
 	// time: 0 for the least-served backlogged tenant, growing for tenants
 	// that have received more than their share recently.
 	VLag float64
-}
-
-// ---- legacy FIFO (single global priority heap) ----
-
-type fifoSched struct{ q jobQueue }
-
-func newFIFOSched() *fifoSched { return &fifoSched{} }
-
-func (s *fifoSched) Push(j *Job) { heap.Push(&s.q, j) }
-func (s *fifoSched) Pop() *Job {
-	if s.q.Len() == 0 {
-		return nil
-	}
-	return heap.Pop(&s.q).(*Job)
-}
-func (s *fifoSched) Len() int                   { return s.q.Len() }
-func (s *fifoSched) Dispatched(*Job, float64)   {}
-func (s *fifoSched) Tenants() []TenantQueueStat { return nil }
-func (s *fifoSched) WaitView(string, Class) (int, float64) {
-	return s.q.Len(), 1
 }
 
 // ---- deficit-weighted fair queue ----
@@ -160,6 +98,8 @@ type wfqTenant struct {
 	queued int
 }
 
+// wfqSched is the executor's ready queue. All methods are called with the
+// executor mutex held.
 type wfqSched struct {
 	cfg     QoSConfig
 	cost    func(Class) float64 // per-class cost estimate, seconds
@@ -336,27 +276,16 @@ func (ex *Executor) estCostLocked(c Class) float64 {
 }
 
 // estWaitLocked estimates how long a newly queued job of the given tenant and
-// class would wait for a worker. Under WFQ the estimate is tenant-local: the
-// arrival waits behind its own tenant's backlog served at the tenant's
-// weight share of the pool, so one tenant's sweep flood does not cause
-// deadline-shedding of another tenant's cheap interactive jobs. Under the
-// legacy FIFO policy every queued job is ahead of the arrival, but the cost
-// of the backlog is still summed per class (a slow sweep backlog no longer
-// inflates the estimate with its latency applied to interactive arrivals).
-// Zero until the first completion seeds the class EWMAs.
+// class would wait for a worker. The estimate is tenant-local: the arrival
+// waits behind its own tenant's backlog served at the tenant's weight share
+// of the pool, so one tenant's sweep flood does not cause deadline-shedding
+// of another tenant's cheap interactive jobs. Zero until the first
+// completion seeds the class EWMAs.
 func (ex *Executor) estWaitLocked(tenant string, class Class) time.Duration {
 	if ex.avgRunSec <= 0 && ex.avgRunSecByClass[0] <= 0 && ex.avgRunSecByClass[1] <= 0 {
 		return 0
 	}
 	workers := float64(ex.cfg.Workers)
-	if ex.cfg.QoS.Policy == PolicyFIFO {
-		ahead := float64(ex.queuedByClass[0])*ex.estCostLocked(ClassInteractive) +
-			float64(ex.queuedByClass[1]+len(ex.sweepWait))*ex.estCostLocked(ClassSweep)
-		if ahead == 0 {
-			return 0
-		}
-		return time.Duration((ahead/workers + ex.estCostLocked(class)*(workers-1)/workers) * float64(time.Second))
-	}
 	own, share := ex.sched.WaitView(tenant, class)
 	if class == ClassSweep {
 		own += len(ex.sweepWait)

@@ -246,9 +246,6 @@ func TestDrainCompletesWFQBacklog(t *testing.T) {
 	if m.Completed != 24 || m.QueueDepth != 0 {
 		t.Fatalf("completed/depth = %d/%d after drain, want 24/0", m.Completed, m.QueueDepth)
 	}
-	if m.QoSPolicy != "wfq" {
-		t.Fatalf("QoSPolicy = %q, want wfq", m.QoSPolicy)
-	}
 }
 
 // TestPerTenantQueueQuota checks AdmissionConfig.PerTenantDepth: one tenant's
@@ -296,21 +293,17 @@ func TestPerTenantQueueQuota(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyIgnoresTenants pins the legacy behavior behind -qos fifo:
-// dispatch is global (priority desc, seq asc) regardless of tenant, so a
-// flood that queued first is served first.
-func TestFIFOPolicyIgnoresTenants(t *testing.T) {
-	order := queueThenRun(t, jobs.QoSConfig{Policy: jobs.PolicyFIFO}, []string{"alice", "bob"}, 4)
-	want := []uint64{
-		seedFor(0, 0), seedFor(1, 0), seedFor(0, 1), seedFor(1, 1),
-		seedFor(0, 2), seedFor(1, 2), seedFor(0, 3), seedFor(1, 3),
+// TestWFQSingleTenantSubmissionOrder pins what a lone tenant gets: within
+// one class (every job here is interactive, equal priority) WFQ dispatches in
+// submission order.
+func TestWFQSingleTenantSubmissionOrder(t *testing.T) {
+	order := queueThenRun(t, jobs.QoSConfig{}, []string{"alice"}, 8)
+	if len(order) != 8 {
+		t.Fatalf("dispatched %d jobs, want 8", len(order))
 	}
-	if len(order) != len(want) {
-		t.Fatalf("dispatched %d jobs, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("FIFO dispatch order %v, want submission order %v", order, want)
+	for i, seed := range order {
+		if seed != seedFor(0, i) {
+			t.Fatalf("single-tenant dispatch order %v, want submission order", order)
 		}
 	}
 }
